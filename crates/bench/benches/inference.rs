@@ -101,8 +101,9 @@ fn bench_gemm_kernels(c: &mut Criterion) {
 }
 
 fn bench_arena_forward(c: &mut Criterion) {
-    // The allocating executor vs the zero-alloc arena path used by the
-    // profiler's inner loop; outputs are bit-identical by construction.
+    // `Network::run` on a fresh arena per call (`classify`) vs a warm
+    // arena reused across calls, as the profiler's inner loop does;
+    // outputs are bit-identical.
     let s = setup(ModelKind::AlexNet, 1);
     let (img, _) = s.data.sample(0);
     let img = img.clone();

@@ -8,7 +8,9 @@
 //! count, which the test suite asserts.
 
 use mupod_data::Dataset;
-use mupod_nn::tap::{gaussian_output_noise, QuantizeTap, StochasticQuantizeTap, UniformNoiseTap};
+use mupod_nn::tap::{
+    gaussian_output_noise, InputTap, QuantizeTap, StochasticQuantizeTap, UniformNoiseTap,
+};
 use mupod_nn::{ExecArena, KernelTier, Network, NodeId};
 use mupod_quant::{BitwidthAllocation, FixedPointFormat};
 use mupod_stats::SeededRng;
@@ -265,7 +267,7 @@ impl<'a> AccuracyEvaluator<'a> {
             },
             |(arena, tap), i, img| {
                 tap.set_rng(root.fork(i as u64));
-                self.net.classify_tapped_arena(img, tap, arena)
+                classify_tapped(self.net, img, tap, arena)
             },
         )
     }
@@ -296,7 +298,7 @@ impl<'a> AccuracyEvaluator<'a> {
                     QuantizeTap::new(formats.clone()),
                 )
             },
-            |(arena, tap), _i, img| self.net.classify_tapped_arena(img, tap, arena),
+            |(arena, tap), _i, img| classify_tapped(self.net, img, tap, arena),
         )
     }
 
@@ -318,7 +320,7 @@ impl<'a> AccuracyEvaluator<'a> {
             },
             |(arena, tap), i, img| {
                 tap.set_rng(root.fork(i as u64));
-                self.net.classify_tapped_arena(img, tap, arena)
+                classify_tapped(self.net, img, tap, arena)
             },
         )
     }
@@ -378,9 +380,20 @@ impl<'a> AccuracyEvaluator<'a> {
                     QuantizeTap::new(formats.clone()),
                 )
             },
-            |(arena, tap), _i, img| other.classify_tapped_arena(img, tap, arena),
+            |(arena, tap), _i, img| classify_tapped(other, img, tap, arena),
         )
     }
+}
+
+/// The class an unguarded full pass under `tap` assigns to `img`.
+fn classify_tapped(
+    net: &Network,
+    img: &Tensor,
+    tap: &mut dyn InputTap,
+    arena: &mut ExecArena,
+) -> usize {
+    net.output(net.forward_tapped_arena(img, tap, arena))
+        .argmax()
 }
 
 /// Resolves a `threads` knob (`0` = machine parallelism) to a concrete

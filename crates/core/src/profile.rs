@@ -12,7 +12,7 @@
 
 use mupod_nn::inventory::LayerInventory;
 use mupod_nn::tap::UniformNoiseTap;
-use mupod_nn::{ExecArena, ExecError, KernelTier, Network, NodeId, ValidateConfig};
+use mupod_nn::{ExecArena, ExecError, KernelTier, Network, NodeId, RunOpts, Start, ValidateConfig};
 use mupod_stats::regression::FitError;
 use mupod_stats::{LinearFit, RunningStats, SeededRng};
 use mupod_tensor::Tensor;
@@ -100,6 +100,17 @@ impl Default for GuardConfig {
             min_r_squared: 0.5,
             min_points: 3,
             strict: false,
+        }
+    }
+}
+
+impl GuardConfig {
+    /// The executor guard the finiteness sweeps run under.
+    pub(crate) fn exec_guard(&self) -> ValidateConfig {
+        if self.validate_activations {
+            ValidateConfig::default()
+        } else {
+            ValidateConfig::off()
         }
     }
 }
@@ -243,6 +254,25 @@ impl From<ExecError> for ProfileError {
     fn from(e: ExecError) -> Self {
         ProfileError::NumericalFault(e)
     }
+}
+
+/// The clean activation cache (one fresh-arena pass per image, guarded
+/// when `guard` validates activations) and the layer inventory every
+/// profiling sweep starts from.
+pub(crate) fn clean_inputs(
+    net: &Network,
+    images: &[Tensor],
+    guard: &GuardConfig,
+) -> Result<(Vec<mupod_nn::Activations>, LayerInventory), ProfileError> {
+    let clean = if guard.validate_activations {
+        images
+            .iter()
+            .map(|img| net.forward_checked(img))
+            .collect::<Result<_, _>>()?
+    } else {
+        images.iter().map(|img| net.forward(img)).collect()
+    };
+    Ok((clean, LayerInventory::measure(net, images.iter().cloned())))
 }
 
 /// Fits one layer's sweep under the guardrails, producing either the
@@ -585,19 +615,7 @@ impl<'a> Profiler<'a> {
         &self,
     ) -> Result<(Vec<mupod_nn::Activations>, LayerInventory), ProfileError> {
         let _span = mupod_obs::span("profile.clean_pass");
-        let clean: Vec<_> = if self.config.guard.validate_activations {
-            self.images
-                .iter()
-                .map(|img| self.net.forward_checked(img))
-                .collect::<Result<_, _>>()?
-        } else {
-            self.images
-                .iter()
-                .map(|img| self.net.forward(img))
-                .collect()
-        };
-        let inventory = LayerInventory::measure(self.net, self.images.iter().cloned());
-        Ok((clean, inventory))
+        clean_inputs(self.net, self.images, &self.config.guard)
     }
 
     /// Profiles a single layer at its position `li` in the request order
@@ -645,7 +663,7 @@ impl<'a> Profiler<'a> {
         arena: &mut ExecArena,
     ) -> Result<LayerProfile, ProfileError> {
         let cfg = &self.config;
-        let validate = cfg.guard.validate_activations;
+        let guard = cfg.guard.exec_guard();
         let scale = if max_abs > 0.0 { max_abs } else { 1.0 };
         let mut sigmas = Vec::with_capacity(cfg.n_deltas);
         let mut deltas = Vec::with_capacity(cfg.n_deltas);
@@ -663,34 +681,18 @@ impl<'a> Profiler<'a> {
                         ^ ((rep as u64) << 14)
                         ^ i as u64;
                     let mut tap = UniformNoiseTap::single(layer, delta, rng.fork(stream));
-                    // All four paths run on the per-worker arena: zero
-                    // heap allocation per replay, bit-identical numerics
-                    // (asserted by the mupod-nn arena test suite).
-                    let noisy: &Tensor = match (cfg.full_replay, validate) {
-                        (true, true) => {
-                            let acts = self.net.forward_tapped_checked_arena(
-                                img,
-                                &mut tap,
-                                ValidateConfig::default(),
-                                arena,
-                            )?;
-                            self.net.output(acts)
-                        }
-                        (true, false) => {
-                            let acts = self.net.forward_tapped_arena(img, &mut tap, arena);
-                            self.net.output(acts)
-                        }
-                        (false, true) => self.net.forward_suffix_checked_arena(
-                            base,
-                            layer,
-                            &mut tap,
-                            ValidateConfig::default(),
-                            arena,
-                        )?,
-                        (false, false) => {
-                            self.net.forward_suffix_arena(base, layer, &mut tap, arena)
-                        }
+                    // Both starts run on the per-worker arena: zero heap
+                    // allocation per pass once it is warm.
+                    let start = if cfg.full_replay {
+                        Start::Image(img)
+                    } else {
+                        Start::Replay { base, at: layer }
                     };
+                    let opts = RunOpts {
+                        tap: &mut tap,
+                        guard,
+                    };
+                    let noisy: &Tensor = self.net.run(start, opts, arena)?;
                     let ref_out = self.net.output(base);
                     for (a, b) in noisy.data().iter().zip(ref_out.data()) {
                         stats.push((a - b) as f64);

@@ -23,10 +23,11 @@
 //! sample count of each σ estimate — use ≥ 8 repeats here where the
 //! input profiler is happy with 2.
 
-use crate::profile::{fit_sweep_guarded, LayerProfile, Profile, ProfileConfig, ProfileError};
-use mupod_nn::inventory::LayerInventory;
+use crate::profile::{
+    clean_inputs, fit_sweep_guarded, LayerProfile, Profile, ProfileConfig, ProfileError,
+};
 use mupod_nn::tap::NoTap;
-use mupod_nn::{Network, NodeId, Op};
+use mupod_nn::{ExecArena, Network, NodeId, Op, RunOpts, Start};
 use mupod_stats::{RunningStats, SeededRng};
 use mupod_tensor::Tensor;
 
@@ -68,16 +69,11 @@ pub fn profile_weights(
     }
     // Validated up front, same policy as the input profiler: poisoned
     // weights or images must fail fast with a typed error.
-    let clean: Vec<_> = if config.guard.validate_activations {
-        images
-            .iter()
-            .map(|img| net.forward_checked(img))
-            .collect::<Result<_, _>>()?
-    } else {
-        images.iter().map(|img| net.forward(img)).collect()
-    };
-    let inventory = LayerInventory::measure(net, images.iter().cloned());
+    let (clean, inventory) = clean_inputs(net, images, &config.guard)?;
     let rng = SeededRng::new(config.seed ^ 0x77EE);
+    let guard = config.guard.exec_guard();
+    // Perturbed copies keep every shape, so one arena serves them all.
+    let mut arena = ExecArena::for_network(net);
 
     let mut out = Vec::with_capacity(layers.len());
     for (li, &layer) in layers.iter().enumerate() {
@@ -99,16 +95,12 @@ pub fn profile_weights(
                 let mut noise_rng = rng.fork(stream);
                 let noisy = net.with_perturbed_weights(layer, delta, &mut noise_rng);
                 for base in &clean {
-                    let out_t = if config.guard.validate_activations {
-                        noisy.forward_suffix_checked(
-                            base,
-                            layer,
-                            &mut NoTap,
-                            mupod_nn::ValidateConfig::default(),
-                        )?
-                    } else {
-                        noisy.forward_suffix(base, layer, &mut NoTap)
+                    let opts = RunOpts {
+                        tap: &mut NoTap,
+                        guard,
                     };
+                    let start = Start::Replay { base, at: layer };
+                    let out_t = noisy.run(start, opts, &mut arena)?;
                     let ref_out = net.output(base);
                     for (a, b) in out_t.data().iter().zip(ref_out.data()) {
                         stats.push((a - b) as f64);

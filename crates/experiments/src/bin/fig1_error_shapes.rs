@@ -12,6 +12,7 @@
 use mupod_experiments::{f, prepare, ExperimentError, RunSize};
 use mupod_models::ModelKind;
 use mupod_nn::tap::{InputTap, UniformNoiseTap};
+use mupod_nn::{ExecArena, RunOpts, Start, ValidateConfig};
 use mupod_stats::histogram::normal_pdf;
 use mupod_stats::{Histogram, RunningStats, SeededRng};
 
@@ -34,6 +35,7 @@ fn run() -> Result<(), ExperimentError> {
     let mut out_samples: Vec<f64> = Vec::new();
 
     let rng = SeededRng::new(0xF16);
+    let mut arena = ExecArena::for_network(net);
     for (i, img) in prepared.eval.images().iter().enumerate() {
         let base = net.forward(img);
         // Capture the injected input error by tapping the same tensor the
@@ -54,7 +56,20 @@ fn run() -> Result<(), ExperimentError> {
         // Replay the suffix with the same seed to get the matching output
         // error.
         let mut tap2 = UniformNoiseTap::single(layer, delta, rng.fork(i as u64));
-        let noisy_out = net.forward_suffix(&base, layer, &mut tap2);
+        let opts = RunOpts {
+            tap: &mut tap2,
+            guard: ValidateConfig::off(),
+        };
+        let noisy_out = net
+            .run(
+                Start::Replay {
+                    base: &base,
+                    at: layer,
+                },
+                opts,
+                &mut arena,
+            )
+            .map_err(|e| ExperimentError::Invariant(format!("unguarded replay failed: {e}")))?;
         for (a, b) in noisy_out.data().iter().zip(net.output(&base).data()) {
             let e = (a - b) as f64;
             output_errors.push(e);

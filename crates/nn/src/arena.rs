@@ -1,24 +1,21 @@
-//! Zero-allocation forward execution over a reusable [`ExecArena`].
+//! [`ExecArena`]: the reusable state every forward pass writes into.
 //!
 //! The profiling loop replays thousands of (layer, Δ, image) suffixes per
-//! network; with the allocating executor every replay heap-allocates one
-//! tensor per recomputed node plus an im2col patch buffer per
-//! convolution. An [`ExecArena`] hoists all of that out of the hot loop:
-//! activation slots are pre-shaped from the dimensions the build-time dry
-//! run recorded, the im2col scratch is grown once and reused, and tap
-//! scratch tensors are cloned lazily on first use. After the first pass a
-//! warm arena performs **zero** heap allocation per forward or suffix
-//! replay.
+//! network. [`Network::run`] hoists every allocation out of that loop
+//! into an arena: activation slots are pre-shaped from the dimensions the
+//! build step recorded, the im2col scratch is grown once and reused, and
+//! tap scratch tensors are cloned lazily on first use. After the first
+//! pass a warm arena performs **zero** heap allocation per forward or
+//! suffix replay.
 //!
-//! Numerics are bit-identical to the allocating paths: both route through
-//! the same [`eval_op_into`] kernel dispatch, so the arena only changes
-//! where outputs are written, never how they are computed. The test suite
-//! asserts bit-equality on a graph exercising every operator.
+//! A warm arena computes the same bits as a fresh one: every pass
+//! overwrites each slot it reads before reading it. The test suite
+//! asserts that bit-equality on a graph exercising every operator,
+//! including a full pass that follows a suffix replay.
 
-use crate::exec::{eval_op_into, Activations, ExecError, ValidateConfig};
+use crate::exec::{eval_op_into, Activations};
 use crate::graph::Network;
 use crate::layer::{NodeId, Op};
-use crate::tap::InputTap;
 use mupod_tensor::{KernelTier, Tensor};
 
 /// Largest fan-in gathered on the stack; wider nodes (unheard of in the
@@ -30,7 +27,7 @@ const MAX_FANIN: usize = 16;
 /// slots, im2col scratch, tap scratch and an affected-set buffer.
 ///
 /// Create one arena per worker thread with [`ExecArena::for_network`]
-/// and thread it through the `*_arena` methods on [`Network`]. An arena
+/// and pass it to [`Network::run`] (or the `*_arena` wrappers). An arena
 /// is shape-locked to the network it was built for; using it with a
 /// different network panics on the first shape mismatch.
 ///
@@ -57,16 +54,14 @@ const MAX_FANIN: usize = 16;
 /// ```
 #[derive(Debug)]
 pub struct ExecArena {
-    /// Per-node activation slots, shaped from the build-time dry run.
+    /// Per-node activation slots, shaped from the build step.
     pub(crate) acts: Activations,
     /// Shared im2col patch scratch, grown on demand and never shrunk.
     pub(crate) patches: Vec<f32>,
     /// Lazily-cloned per-node tap input scratch.
-    tap_scratch: Vec<Option<Tensor>>,
-    /// Reusable affected-set buffer for suffix replay.
-    affected: Vec<bool>,
-    /// Total bytes held by the activation slots (for the obs counter).
-    pub(crate) slot_bytes: u64,
+    pub(crate) tap_scratch: Vec<Option<Tensor>>,
+    /// The nodes the most recent pass recomputed.
+    pub(crate) affected: Vec<bool>,
     /// Kernel tier every dot-product op in this arena dispatches to.
     pub(crate) tier: KernelTier,
 }
@@ -84,24 +79,19 @@ impl ExecArena {
     /// to `tier`'s kernels ([`KernelTier::Fast`] trades bit-exactness
     /// for the SIMD/FMA microkernels — see `mupod_tensor::fast`).
     pub fn for_network_tier(net: &Network, tier: KernelTier) -> Self {
-        let slots: Vec<Tensor> = (0..net.node_count())
+        let slots = (0..net.node_count())
             .map(|i| Tensor::zeros(net.node_out_dims(NodeId(i))))
             .collect();
-        let slot_bytes = slots
-            .iter()
-            .map(|t| (t.numel() * std::mem::size_of::<f32>()) as u64)
-            .sum();
         Self {
             acts: Activations::from_tensors(slots),
             patches: Vec::new(),
             tap_scratch: vec![None; net.node_count()],
             affected: Vec::new(),
-            slot_bytes,
             tier,
         }
     }
 
-    /// The activations written by the most recent arena pass.
+    /// The activations written by the most recent full pass.
     pub fn activations(&self) -> &Activations {
         &self.acts
     }
@@ -134,477 +124,153 @@ pub(crate) fn eval_node_into<'t>(
     }
 }
 
-impl Network {
-    /// Shared worker behind the arena forward variants.
-    fn run_arena(
-        &self,
-        image: &Tensor,
-        tap: &mut dyn InputTap,
-        arena: &mut ExecArena,
-        cfg: Option<ValidateConfig>,
-    ) -> Result<(), ExecError> {
-        assert_eq!(
-            image.dims(),
-            self.input_dims(),
-            "image shape does not match network input"
-        );
-        if let Some(c) = cfg {
-            if c.check_input {
-                image
-                    .validate_finite()
-                    .map_err(|source| ExecError::NonFiniteInput { source })?;
-            }
-        }
-        mupod_obs::counter_add("nn.forward_passes", 1);
-        mupod_obs::counter_add("nn.node_evals", self.nodes.len() as u64 - 1);
-        mupod_obs::counter_add("nn.arena_passes", 1);
-        mupod_obs::counter_add("nn.arena_bytes_recycled", arena.slot_bytes);
-        let tier = arena.tier;
-        let ExecArena {
-            acts,
-            patches,
-            tap_scratch,
-            ..
-        } = arena;
-        let tensors = acts.tensors_mut();
-        assert_eq!(
-            tensors.len(),
-            self.nodes.len(),
-            "arena does not match network"
-        );
-        tensors[0].copy_from(image);
-        for (i, slot) in tap_scratch
-            .iter_mut()
-            .enumerate()
-            .take(self.nodes.len())
-            .skip(1)
-        {
-            let node = &self.nodes[i];
-            let id = NodeId(i);
-            let (prev, rest) = tensors.split_at_mut(i);
-            let out = &mut rest[0];
-            if node.op.is_dot_product() && tap.wants(id) {
-                let src = &prev[node.inputs[0].0];
-                let scratch = slot.get_or_insert_with(|| src.clone());
-                scratch.copy_from(src);
-                tap.apply(id, scratch);
-                eval_op_into(&node.op, &[&*scratch], out, patches, tier);
-            } else {
-                eval_node_into(&node.op, &node.inputs, |p| &prev[p.0], out, patches, tier);
-            }
-            if let Some(c) = cfg {
-                if c.check_activations {
-                    out.validate_finite()
-                        .map_err(|source| ExecError::NonFiniteActivation {
-                            node: id,
-                            name: node.name.clone(),
-                            source,
-                        })?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Shared worker behind the arena suffix-replay variants.
-    fn run_suffix_arena<'s>(
-        &self,
-        base: &'s Activations,
-        start: NodeId,
-        tap: &mut dyn InputTap,
-        arena: &'s mut ExecArena,
-        cfg: Option<ValidateConfig>,
-    ) -> Result<&'s Tensor, ExecError> {
-        assert_eq!(
-            base.len(),
-            self.nodes.len(),
-            "activation cache does not match network"
-        );
-        assert!(
-            self.nodes[start.0].op.is_dot_product(),
-            "suffix replay must start at a dot-product layer"
-        );
-        mupod_obs::counter_add("nn.suffix_replays", 1);
-        mupod_obs::counter_add("nn.arena_passes", 1);
-        mupod_obs::counter_add("nn.arena_bytes_recycled", arena.slot_bytes);
-        let tier = arena.tier;
-        let ExecArena {
-            acts,
-            patches,
-            tap_scratch,
-            affected,
-            ..
-        } = arena;
-        let tensors = acts.tensors_mut();
-        assert_eq!(
-            tensors.len(),
-            self.nodes.len(),
-            "arena does not match network"
-        );
-        affected.clear();
-        affected.resize(self.nodes.len(), false);
-        affected[start.0] = true;
-        for i in (start.0 + 1)..self.nodes.len() {
-            affected[i] = self.nodes[i].inputs.iter().any(|p| affected[p.0]);
-        }
-        mupod_obs::counter_add(
-            "nn.node_evals",
-            affected.iter().filter(|&&a| a).count() as u64,
-        );
-        for i in start.0..self.nodes.len() {
-            if !affected[i] {
-                continue;
-            }
-            let node = &self.nodes[i];
-            let (prev, rest) = tensors.split_at_mut(i);
-            let out = &mut rest[0];
-            if i == start.0 {
-                let src = base.get(node.inputs[0]);
-                let scratch = tap_scratch[i].get_or_insert_with(|| src.clone());
-                scratch.copy_from(src);
-                tap.apply(NodeId(i), scratch);
-                eval_op_into(&node.op, &[&*scratch], out, patches, tier);
-            } else {
-                eval_node_into(
-                    &node.op,
-                    &node.inputs,
-                    |p| {
-                        if affected[p.0] {
-                            &prev[p.0]
-                        } else {
-                            base.get(p)
-                        }
-                    },
-                    out,
-                    patches,
-                    tier,
-                );
-            }
-            if let Some(c) = cfg {
-                if c.check_activations {
-                    out.validate_finite()
-                        .map_err(|source| ExecError::NonFiniteActivation {
-                            node: NodeId(i),
-                            name: node.name.clone(),
-                            source,
-                        })?;
-                }
-            }
-        }
-        Ok(if affected[self.output.0] {
-            &tensors[self.output.0]
-        } else {
-            base.get(self.output)
-        })
-    }
-
-    /// [`Network::forward`] writing into a reusable arena — zero heap
-    /// allocation once the arena is warm. Bit-identical numerics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `image` does not match [`Network::input_dims`] or the
-    /// arena was built for a different network.
-    pub fn forward_arena<'a>(&self, image: &Tensor, arena: &'a mut ExecArena) -> &'a Activations {
-        self.forward_tapped_arena(image, &mut crate::tap::NoTap, arena)
-    }
-
-    /// [`Network::forward_tapped`] over a reusable arena.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `image` does not match [`Network::input_dims`] or the
-    /// arena was built for a different network.
-    pub fn forward_tapped_arena<'a>(
-        &self,
-        image: &Tensor,
-        tap: &mut dyn InputTap,
-        arena: &'a mut ExecArena,
-    ) -> &'a Activations {
-        match self.run_arena(image, tap, arena, None) {
-            Ok(()) => &arena.acts,
-            // lint:allow(no-panic-path) reason=run_arena is infallible when validation is disabled (cfg None); this arm is unreachable by construction
-            Err(_) => unreachable!("unvalidated arena pass cannot fail"),
-        }
-    }
-
-    /// [`Network::forward_checked`] over a reusable arena.
-    ///
-    /// # Errors
-    ///
-    /// See [`Network::forward_checked`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `image` does not match [`Network::input_dims`] or the
-    /// arena was built for a different network.
-    pub fn forward_checked_arena<'a>(
-        &self,
-        image: &Tensor,
-        arena: &'a mut ExecArena,
-    ) -> Result<&'a Activations, ExecError> {
-        self.forward_tapped_checked_arena(
-            image,
-            &mut crate::tap::NoTap,
-            ValidateConfig::default(),
-            arena,
-        )
-    }
-
-    /// [`Network::forward_tapped_checked`] over a reusable arena.
-    ///
-    /// # Errors
-    ///
-    /// See [`Network::forward_checked`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `image` does not match [`Network::input_dims`] or the
-    /// arena was built for a different network.
-    pub fn forward_tapped_checked_arena<'a>(
-        &self,
-        image: &Tensor,
-        tap: &mut dyn InputTap,
-        cfg: ValidateConfig,
-        arena: &'a mut ExecArena,
-    ) -> Result<&'a Activations, ExecError> {
-        self.run_arena(image, tap, arena, Some(cfg))?;
-        Ok(&arena.acts)
-    }
-
-    /// [`Network::forward_suffix`] over a reusable arena: replays only
-    /// the affected suffix, writing into arena slots, and returns a
-    /// reference to the logits (arena slot if recomputed, `base`
-    /// otherwise) instead of cloning them.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`Network::forward_suffix`], plus an arena built for a
-    /// different network.
-    pub fn forward_suffix_arena<'s>(
-        &self,
-        base: &'s Activations,
-        start: NodeId,
-        tap: &mut dyn InputTap,
-        arena: &'s mut ExecArena,
-    ) -> &'s Tensor {
-        match self.run_suffix_arena(base, start, tap, arena, None) {
-            Ok(out) => out,
-            // lint:allow(no-panic-path) reason=run_suffix_arena is infallible when validation is disabled (cfg None); this arm is unreachable by construction
-            Err(_) => unreachable!("unvalidated arena suffix replay cannot fail"),
-        }
-    }
-
-    /// [`Network::forward_suffix_checked`] over a reusable arena.
-    ///
-    /// # Errors
-    ///
-    /// See [`Network::forward_suffix_checked`].
-    ///
-    /// # Panics
-    ///
-    /// Same as [`Network::forward_suffix`], plus an arena built for a
-    /// different network.
-    pub fn forward_suffix_checked_arena<'s>(
-        &self,
-        base: &'s Activations,
-        start: NodeId,
-        tap: &mut dyn InputTap,
-        cfg: ValidateConfig,
-        arena: &'s mut ExecArena,
-    ) -> Result<&'s Tensor, ExecError> {
-        self.run_suffix_arena(base, start, tap, arena, Some(cfg))
-    }
-
-    /// [`Network::classify`] over a reusable arena.
-    pub fn classify_arena(&self, image: &Tensor, arena: &mut ExecArena) -> usize {
-        self.classify_tapped_arena(image, &mut crate::tap::NoTap, arena)
-    }
-
-    /// [`Network::classify_tapped`] over a reusable arena.
-    pub fn classify_tapped_arena(
-        &self,
-        image: &Tensor,
-        tap: &mut dyn InputTap,
-        arena: &mut ExecArena,
-    ) -> usize {
-        let acts = self.forward_tapped_arena(image, tap, arena);
-        self.output(acts).argmax()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::NetworkBuilder;
-    use crate::tap::UniformNoiseTap;
+    use crate::exec::tests::{full_net, random_tensor};
+    use crate::exec::{ExecError, RunOpts, Start, ValidateConfig};
+    use crate::tap::{FaultKind, FaultTap, InputTap, NoTap, UniformNoiseTap};
     use mupod_stats::SeededRng;
-    use mupod_tensor::conv::Conv2dParams;
-    use mupod_tensor::pool::Pool2dParams;
-
-    fn random_tensor(rng: &mut SeededRng, dims: &[usize]) -> Tensor {
-        let n: usize = dims.iter().product();
-        Tensor::from_vec(
-            dims,
-            (0..n).map(|_| rng.gaussian(0.0, 0.5) as f32).collect(),
-        )
-    }
-
-    /// A net exercising every op: conv, affine, relu, lrn, pools,
-    /// residual add, concat, flatten, fc (mirrors the exec.rs test net).
-    fn full_net(rng: &mut SeededRng) -> Network {
-        let mut b = NetworkBuilder::new(&[2, 8, 8]);
-        let input = b.input();
-        let c1 = b.conv2d(
-            "c1",
-            input,
-            Conv2dParams::new(2, 4, 3, 1, 1),
-            random_tensor(rng, &[4, 2, 3, 3]),
-            vec![0.05; 4],
-        );
-        let bn = b.channel_affine("bn1", c1, vec![1.1; 4], vec![-0.02; 4]);
-        let r1 = b.relu("r1", bn);
-        let lrn = b.lrn("lrn1", r1, 3, 1e-2, 0.75, 1.0);
-        let p1 = b.max_pool("p1", lrn, Pool2dParams::new(2, 2, 0));
-        let c2 = b.conv2d(
-            "c2",
-            p1,
-            Conv2dParams::new(4, 4, 3, 1, 1),
-            random_tensor(rng, &[4, 4, 3, 3]),
-            vec![0.0; 4],
-        );
-        let res = b.add("res", &[p1, c2]);
-        let c3 = b.conv2d(
-            "c3a",
-            res,
-            Conv2dParams::new(4, 2, 1, 1, 0),
-            random_tensor(rng, &[2, 4, 1, 1]),
-            vec![0.0; 2],
-        );
-        let c4 = b.conv2d(
-            "c3b",
-            res,
-            Conv2dParams::new(4, 2, 3, 1, 1),
-            random_tensor(rng, &[2, 4, 3, 3]),
-            vec![0.0; 2],
-        );
-        let cat = b.concat("cat", &[c3, c4]);
-        let ap = b.avg_pool("ap", cat, Pool2dParams::new(2, 2, 0));
-        let fl = b.flatten("fl", ap);
-        let fc = b.fully_connected("fc", fl, random_tensor(rng, &[5, 16]), vec![0.0; 5]);
-        b.build(fc).unwrap()
-    }
 
     fn bits(t: &Tensor) -> Vec<u32> {
         t.data().iter().map(|v| v.to_bits()).collect()
     }
 
+    fn images(seed: u64, n: usize) -> Vec<Tensor> {
+        let mut rng = SeededRng::new(seed);
+        (0..n)
+            .map(|_| random_tensor(&mut rng, &[2, 8, 8]))
+            .collect()
+    }
+
+    /// The logits of one pass from `start` on `arena`.
+    fn run_bits(
+        net: &Network,
+        start: Start<'_>,
+        tap: &mut dyn InputTap,
+        guard: ValidateConfig,
+        arena: &mut ExecArena,
+    ) -> Result<Vec<u32>, ExecError> {
+        net.run(start, RunOpts { tap, guard }, arena).map(bits)
+    }
+
     #[test]
-    fn arena_forward_bit_identical_to_alloc_forward() {
+    fn warm_arena_forward_bit_identical_to_fresh() {
         let mut rng = SeededRng::new(3);
         let net = full_net(&mut rng);
-        let mut arena = ExecArena::for_network(&net);
+        let mut warm = ExecArena::for_network(&net);
         // Several images through the SAME arena: warm-slot reuse must not
         // leak state between passes.
-        for seed in 0..4u64 {
-            let mut irng = SeededRng::new(100 + seed);
-            let image = random_tensor(&mut irng, &[2, 8, 8]);
-            let plain = net.forward(&image);
-            let fast = net.forward_arena(&image, &mut arena);
+        for (k, image) in images(100, 4).iter().enumerate() {
+            let fresh = net.forward(image);
+            let acts = net.forward_arena(image, &mut warm);
             for i in 0..net.node_count() {
                 assert_eq!(
-                    bits(plain.get(NodeId(i))),
-                    bits(fast.get(NodeId(i))),
-                    "node {i} diverged on image {seed}"
+                    bits(fresh.get(NodeId(i))),
+                    bits(acts.get(NodeId(i))),
+                    "node {i} diverged on image {k}"
                 );
             }
         }
     }
 
     #[test]
-    fn arena_tapped_forward_bit_identical() {
+    fn warm_arena_tapped_forward_bit_identical_to_fresh() {
         let mut rng = SeededRng::new(5);
         let net = full_net(&mut rng);
-        let mut arena = ExecArena::for_network(&net);
-        let image = random_tensor(&mut rng, &[2, 8, 8]);
-        for &layer in &net.dot_product_layers() {
-            let mut tap_a = UniformNoiseTap::single(layer, 0.05, SeededRng::new(77));
-            let plain = net.forward_tapped(&image, &mut tap_a);
-            let mut tap_b = UniformNoiseTap::single(layer, 0.05, SeededRng::new(77));
-            let fast = net.forward_tapped_arena(&image, &mut tap_b, &mut arena);
-            assert_eq!(
-                bits(net.output(&plain)),
-                bits(net.output(fast)),
-                "tapped layer {layer} diverged"
-            );
+        let mut warm = ExecArena::for_network(&net);
+        for image in &images(200, 2) {
+            for &layer in &net.dot_product_layers() {
+                let mut tap_a = UniformNoiseTap::single(layer, 0.05, SeededRng::new(77));
+                let mut fresh = ExecArena::for_network(&net);
+                let want =
+                    bits(net.output(net.forward_tapped_arena(image, &mut tap_a, &mut fresh)));
+                let mut tap_b = UniformNoiseTap::single(layer, 0.05, SeededRng::new(77));
+                let got = bits(net.output(net.forward_tapped_arena(image, &mut tap_b, &mut warm)));
+                assert_eq!(want, got, "tapped layer {layer} diverged");
+            }
         }
     }
 
     #[test]
-    fn arena_suffix_bit_identical_to_alloc_suffix() {
+    fn warm_arena_suffix_bit_identical_to_fresh() {
         let mut rng = SeededRng::new(7);
         let net = full_net(&mut rng);
-        let mut arena = ExecArena::for_network(&net);
-        let image = random_tensor(&mut rng, &[2, 8, 8]);
-        let base = net.forward(&image);
-        for &layer in &net.dot_product_layers() {
-            let mut tap_a = UniformNoiseTap::single(layer, 0.05, SeededRng::new(42));
-            let plain = net.forward_suffix(&base, layer, &mut tap_a);
-            let mut tap_b = UniformNoiseTap::single(layer, 0.05, SeededRng::new(42));
-            let fast = net.forward_suffix_arena(&base, layer, &mut tap_b, &mut arena);
-            assert_eq!(bits(&plain), bits(fast), "suffix from {layer} diverged");
+        let mut warm = ExecArena::for_network(&net);
+        for image in &images(300, 2) {
+            let base = net.forward(image);
+            for &layer in &net.dot_product_layers() {
+                let start = Start::Replay {
+                    base: &base,
+                    at: layer,
+                };
+                let mut tap_a = UniformNoiseTap::single(layer, 0.05, SeededRng::new(42));
+                let mut fresh = ExecArena::for_network(&net);
+                let want = run_bits(&net, start, &mut tap_a, ValidateConfig::off(), &mut fresh);
+                let mut tap_b = UniformNoiseTap::single(layer, 0.05, SeededRng::new(42));
+                let got = run_bits(&net, start, &mut tap_b, ValidateConfig::off(), &mut warm);
+                assert_eq!(want.unwrap(), got.unwrap(), "suffix from {layer} diverged");
+            }
         }
     }
 
     #[test]
-    fn arena_checked_matches_and_detects_faults() {
-        use crate::tap::{FaultKind, FaultTap};
+    fn warm_arena_guarded_pass_matches_and_detects_faults() {
         let mut rng = SeededRng::new(9);
         let net = full_net(&mut rng);
-        let mut arena = ExecArena::for_network(&net);
+        let mut warm = ExecArena::for_network(&net);
         let image = random_tensor(&mut rng, &[2, 8, 8]);
+        net.forward_arena(&random_tensor(&mut rng, &[2, 8, 8]), &mut warm);
 
-        let plain = net.forward_checked(&image).unwrap();
-        let fast = net.forward_checked_arena(&image, &mut arena).unwrap();
-        assert_eq!(bits(net.output(&plain)), bits(net.output(fast)));
+        let fresh = net.forward_checked(&image).unwrap();
+        let got = run_bits(
+            &net,
+            Start::Image(&image),
+            &mut NoTap,
+            ValidateConfig::default(),
+            &mut warm,
+        );
+        assert_eq!(bits(net.output(&fresh)), got.unwrap());
 
         let layer = net.dot_product_layers()[1];
         let mut tap = FaultTap::single_element(layer, FaultKind::Nan);
-        let err = net
-            .forward_tapped_checked_arena(&image, &mut tap, ValidateConfig::default(), &mut arena)
-            .unwrap_err();
+        let err = run_bits(
+            &net,
+            Start::Image(&image),
+            &mut tap,
+            ValidateConfig::default(),
+            &mut warm,
+        )
+        .unwrap_err();
         assert!(matches!(err, ExecError::NonFiniteActivation { .. }));
     }
 
     #[test]
-    fn arena_checked_suffix_detects_injected_inf() {
-        use crate::tap::{FaultKind, FaultTap};
+    fn warm_arena_guarded_suffix_detects_injected_inf() {
         let mut rng = SeededRng::new(11);
         let net = full_net(&mut rng);
-        let mut arena = ExecArena::for_network(&net);
+        let mut warm = ExecArena::for_network(&net);
         let image = random_tensor(&mut rng, &[2, 8, 8]);
-        let base = net.forward(&image);
+        let base = net.forward_arena(&image, &mut warm).clone();
         let layer = net.dot_product_layers()[0];
         let mut tap = FaultTap::new(layer, FaultKind::PosInf, 1);
-        let err = net
-            .forward_suffix_checked_arena(
-                &base,
-                layer,
-                &mut tap,
-                ValidateConfig::default(),
-                &mut arena,
-            )
-            .unwrap_err();
+        let start = Start::Replay {
+            base: &base,
+            at: layer,
+        };
+        let err =
+            run_bits(&net, start, &mut tap, ValidateConfig::default(), &mut warm).unwrap_err();
         assert!(matches!(err, ExecError::NonFiniteActivation { .. }));
     }
 
     #[test]
-    fn arena_classify_matches_alloc_classify() {
+    fn warm_arena_classify_matches_fresh() {
         let mut rng = SeededRng::new(13);
         let net = full_net(&mut rng);
-        let mut arena = ExecArena::for_network(&net);
-        let image = random_tensor(&mut rng, &[2, 8, 8]);
-        assert_eq!(net.classify(&image), net.classify_arena(&image, &mut arena));
+        let mut warm = ExecArena::for_network(&net);
+        for image in &images(400, 3) {
+            assert_eq!(net.classify(image), net.classify_arena(image, &mut warm));
+        }
     }
 
     #[test]
@@ -618,11 +284,15 @@ mod tests {
         let base = net.forward(&image);
         let layer = *net.dot_product_layers().last().unwrap();
         let mut tap = UniformNoiseTap::single(layer, 0.5, SeededRng::new(1));
-        let _ = net.forward_suffix_arena(&base, layer, &mut tap, &mut arena);
+        let start = Start::Replay {
+            base: &base,
+            at: layer,
+        };
+        run_bits(&net, start, &mut tap, ValidateConfig::off(), &mut arena).unwrap();
 
         let image2 = random_tensor(&mut rng, &[2, 8, 8]);
-        let plain = net.forward(&image2);
-        let fast = net.forward_arena(&image2, &mut arena);
-        assert_eq!(bits(net.output(&plain)), bits(net.output(fast)));
+        let fresh = net.forward(&image2);
+        let warm = net.forward_arena(&image2, &mut arena);
+        assert_eq!(bits(net.output(&fresh)), bits(net.output(warm)));
     }
 }

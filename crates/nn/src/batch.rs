@@ -6,15 +6,15 @@
 //! the filter bank in **one** [`mupod_tensor::conv::conv2d_batch_into`]
 //! call, instead of N separate GEMMs re-streaming the same weights.
 //!
-//! Everything else — and the numerics — is unchanged: non-conv
-//! operators (and the conv path for a batch of one) run per image
-//! through the same [`eval_node_into`] dispatch as the single-image
-//! arena executor, and the batched conv kernel is bit-identical to the
-//! single-image kernel by construction (per-element accumulation order
-//! does not depend on the GEMM column count; see the kernel's docs).
-//! The property suite in `tests/batch_props.rs` asserts bit-equality
-//! against N sequential [`Network::forward_arena`] passes across batch
-//! sizes and a graph exercising every operator.
+//! Everything else — and the numerics — is unchanged: a batch of one
+//! is a plain [`Network::run`] pass, non-conv operators run per image
+//! through the same operator dispatch as `run`, and the batched conv
+//! kernel is bit-identical to the single-image kernel by construction
+//! (per-element accumulation order does not depend on the GEMM column
+//! count; see the kernel's docs). The property suite in
+//! `tests/batch_props.rs` asserts bit-equality against N sequential
+//! [`Network::forward_arena`] passes across batch sizes and a graph
+//! exercising every operator.
 //!
 //! # Example
 //!
@@ -140,16 +140,19 @@ impl Network {
         );
         mupod_obs::counter_add("nn.batch_passes", 1);
         mupod_obs::counter_add("nn.batch_images", n as u64);
-        mupod_obs::counter_add("nn.forward_passes", n as u64);
-        mupod_obs::counter_add("nn.arena_passes", n as u64);
-        mupod_obs::counter_add("nn.node_evals", (n * (self.nodes.len() - 1)) as u64);
         let BatchArena {
             arenas,
             patches,
             gemm_out,
             tier,
         } = batch;
-        let tier = *tier;
+        if n == 1 {
+            // Nothing to fuse: a batch of one is the single-image pass.
+            self.forward_arena(&images[0], &mut arenas[0]);
+            return;
+        }
+        mupod_obs::counter_add("nn.forward_passes", n as u64);
+        mupod_obs::counter_add("nn.node_evals", (n * (self.nodes.len() - 1)) as u64);
         let live = &mut arenas[..n];
         for (arena, image) in live.iter_mut().zip(images) {
             assert_eq!(
@@ -164,51 +167,46 @@ impl Network {
                 "arena does not match network"
             );
             tensors[0].copy_from(image);
-            mupod_obs::counter_add("nn.arena_bytes_recycled", arena.slot_bytes);
         }
-        for i in 1..self.nodes.len() {
-            let node = &self.nodes[i];
-            if n > 1 {
-                if let Op::Conv2d {
-                    params,
-                    weight,
-                    bias,
-                } = &node.op
-                {
-                    // Gather every slot's (input, output) pair and run the
-                    // whole batch through one packed-GEMM convolution.
-                    let src = node.inputs[0].index();
-                    let mut ins: Vec<&Tensor> = Vec::with_capacity(n);
-                    let mut outs: Vec<&mut [f32]> = Vec::with_capacity(n);
-                    for arena in live.iter_mut() {
-                        let (prev, rest) = arena.acts.tensors_mut().split_at_mut(i);
-                        ins.push(&prev[src]);
-                        outs.push(rest[0].data_mut());
-                    }
-                    conv2d_batch_into_tier(
-                        tier,
-                        &ins,
-                        weight,
-                        Some(bias),
-                        params,
-                        patches,
-                        gemm_out,
-                        &mut outs,
-                    );
-                    continue;
+        for (i, node) in self.nodes.iter().enumerate().skip(1) {
+            if let Op::Conv2d {
+                params,
+                weight,
+                bias,
+            } = &node.op
+            {
+                // Gather every slot's (input, output) pair and run the
+                // whole batch through one packed-GEMM convolution.
+                let src = node.inputs[0].index();
+                let mut ins: Vec<&Tensor> = Vec::with_capacity(n);
+                let mut outs: Vec<&mut [f32]> = Vec::with_capacity(n);
+                for arena in live.iter_mut() {
+                    let (prev, rest) = arena.acts.tensors_mut().split_at_mut(i);
+                    ins.push(&prev[src]);
+                    outs.push(rest[0].data_mut());
                 }
+                conv2d_batch_into_tier(
+                    *tier,
+                    &ins,
+                    weight,
+                    Some(bias),
+                    params,
+                    patches,
+                    gemm_out,
+                    &mut outs,
+                );
+                continue;
             }
             for arena in live.iter_mut() {
                 let ExecArena { acts, patches, .. } = arena;
-                let tensors = acts.tensors_mut();
-                let (prev, rest) = tensors.split_at_mut(i);
+                let (prev, rest) = acts.tensors_mut().split_at_mut(i);
                 eval_node_into(
                     &node.op,
                     &node.inputs,
                     |p| &prev[p.index()],
                     &mut rest[0],
                     patches,
-                    tier,
+                    *tier,
                 );
             }
         }
@@ -231,17 +229,10 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::tests::random_tensor;
     use crate::graph::NetworkBuilder;
     use mupod_stats::SeededRng;
     use mupod_tensor::conv::Conv2dParams;
-
-    fn random_tensor(rng: &mut SeededRng, dims: &[usize]) -> Tensor {
-        let n: usize = dims.iter().product();
-        Tensor::from_vec(
-            dims,
-            (0..n).map(|_| rng.gaussian(0.0, 0.5) as f32).collect(),
-        )
-    }
 
     fn tiny_net(rng: &mut SeededRng) -> Network {
         let mut b = NetworkBuilder::new(&[1, 6, 6]);

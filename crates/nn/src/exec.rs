@@ -1,9 +1,20 @@
-//! Forward execution: full passes, tapped passes and suffix replay —
-//! plus validated variants that sweep every layer boundary for NaN/Inf.
+//! Forward execution: one node walk, [`Network::run`], behind every pass.
+//!
+//! A pass starts either from an image ([`Start::Image`], a full forward)
+//! or from a cached clean pass ([`Start::Replay`], recomputing only the
+//! nodes downstream of one dot-product layer). [`RunOpts`] carries the
+//! two things a pass can vary: the input tap (noise injection,
+//! quantization, fault injection) and the numerical guard
+//! ([`ValidateConfig`], a NaN/Inf sweep at every layer boundary).
+//! Every pass writes into an [`ExecArena`]; the convenience methods
+//! ([`Network::forward`], [`Network::classify`], …) are thin wrappers
+//! that build a fresh arena per call, so there is exactly one place
+//! where a node is evaluated.
 
+use crate::arena::{eval_node_into, ExecArena};
 use crate::graph::Network;
 use crate::layer::{NodeId, Op};
-use crate::tap::InputTap;
+use crate::tap::{InputTap, NoTap};
 use mupod_tensor::conv::conv2d_into_tier;
 use mupod_tensor::gemm::matvec_into_tier;
 use mupod_tensor::pool::{
@@ -11,7 +22,7 @@ use mupod_tensor::pool::{
 };
 use mupod_tensor::{KernelTier, Tensor, TensorError};
 
-/// What the validated forward variants check at each layer boundary.
+/// What a guarded pass ([`RunOpts::guard`]) checks at each layer boundary.
 ///
 /// The sweep is a single `is_finite` pass over each produced activation —
 /// memory-bandwidth cost, negligible next to the dot products that made
@@ -34,8 +45,7 @@ impl Default for ValidateConfig {
 }
 
 impl ValidateConfig {
-    /// A config that checks nothing (the validated passes degenerate to
-    /// the plain ones).
+    /// A config that checks nothing: a pass run with it cannot fail.
     pub fn off() -> Self {
         Self {
             check_input: false,
@@ -44,7 +54,7 @@ impl ValidateConfig {
     }
 }
 
-/// Errors detected by the validated forward variants.
+/// Errors detected by a guarded pass.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExecError {
     /// The input image contains a non-finite element.
@@ -83,7 +93,7 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// Per-node activation tensors produced by a forward pass.
+/// Per-node activation tensors produced by a full forward pass.
 ///
 /// Indexing follows [`NodeId`]; the input placeholder holds the image.
 #[derive(Debug, Clone)]
@@ -122,49 +132,48 @@ impl Activations {
     }
 }
 
-/// Output shape of one operator given its input tensors.
+/// Output shape of one operator given its input shapes.
 ///
-/// The single source of truth shared by the allocating and arena
-/// executors; [`crate::ExecArena`] slots are pre-shaped from the same
-/// dimensions the build-time dry run records.
+/// The single source of truth for activation shapes: the build step
+/// records it per node, and [`ExecArena`] slots are pre-shaped from it.
 ///
 /// # Panics
 ///
 /// Panics on operand-shape mismatches gross enough to make the output
 /// shape undefined (finer mismatches are caught by [`eval_op_into`]).
-pub(crate) fn op_output_dims(op: &Op, inputs: &[&Tensor]) -> Vec<usize> {
+pub(crate) fn op_output_dims(op: &Op, inputs: &[&[usize]]) -> Vec<usize> {
     match op {
-        // lint:allow(no-panic-path) reason=executor seeds Input nodes from the image and never schedules them for evaluation
-        Op::Input => unreachable!("input placeholder is never evaluated"),
+        // lint:allow(no-panic-path) reason=the input placeholder has no operands; the build step seeds its shape from the image and never asks
+        Op::Input => unreachable!("input placeholder has no inferred shape"),
         Op::Conv2d { params, .. } => {
-            assert_eq!(inputs[0].dims().len(), 3, "conv2d expects a CHW input");
-            let (oh, ow) = params.out_spatial(inputs[0].dims()[1], inputs[0].dims()[2]);
+            assert_eq!(inputs[0].len(), 3, "conv2d expects a CHW input");
+            let (oh, ow) = params.out_spatial(inputs[0][1], inputs[0][2]);
             vec![params.out_channels, oh, ow]
         }
         Op::FullyConnected { weight, .. } => vec![weight.dims()[0]],
-        Op::ReLU | Op::Lrn { .. } | Op::ChannelAffine { .. } | Op::Add => inputs[0].dims().to_vec(),
+        Op::ReLU | Op::Lrn { .. } | Op::ChannelAffine { .. } | Op::Add => inputs[0].to_vec(),
         Op::MaxPool(p) | Op::AvgPool(p) => {
-            assert_eq!(inputs[0].dims().len(), 3, "pooling expects a CHW tensor");
-            let (oh, ow) = p.out_spatial(inputs[0].dims()[1], inputs[0].dims()[2]);
-            vec![inputs[0].dims()[0], oh, ow]
+            assert_eq!(inputs[0].len(), 3, "pooling expects a CHW tensor");
+            let (oh, ow) = p.out_spatial(inputs[0][1], inputs[0][2]);
+            vec![inputs[0][0], oh, ow]
         }
         Op::GlobalAvgPool => {
-            assert_eq!(inputs[0].dims().len(), 3, "pooling expects a CHW tensor");
-            vec![inputs[0].dims()[0]]
+            assert_eq!(inputs[0].len(), 3, "pooling expects a CHW tensor");
+            vec![inputs[0][0]]
         }
         Op::Concat => {
-            let h = inputs[0].dims()[1];
-            let w = inputs[0].dims()[2];
+            let h = inputs[0][1];
+            let w = inputs[0][2];
             let mut total_c = 0;
             for p in inputs {
-                assert_eq!(p.dims().len(), 3, "concat expects CHW tensors");
-                assert_eq!(p.dims()[1], h, "spatial height mismatch in concat");
-                assert_eq!(p.dims()[2], w, "spatial width mismatch in concat");
-                total_c += p.dims()[0];
+                assert_eq!(p.len(), 3, "concat expects CHW tensors");
+                assert_eq!(p[1], h, "spatial height mismatch in concat");
+                assert_eq!(p[2], w, "spatial width mismatch in concat");
+                total_c += p[0];
             }
             vec![total_c, h, w]
         }
-        Op::Flatten | Op::Softmax => vec![inputs[0].numel()],
+        Op::Flatten | Op::Softmax => vec![inputs[0].iter().product()],
     }
 }
 
@@ -172,9 +181,8 @@ pub(crate) fn op_output_dims(op: &Op, inputs: &[&Tensor]) -> Vec<usize> {
 ///
 /// `out` must already have the shape [`op_output_dims`] reports; its
 /// contents are fully overwritten. `patches` is the reusable im2col
-/// scratch (grown on demand, never shrunk). Both the allocating
-/// [`eval_op`] and the arena executor route through this function, so
-/// the two paths cannot diverge numerically.
+/// scratch (grown on demand, never shrunk). Every pass — single-image
+/// or batched — evaluates its nodes through this function.
 ///
 /// The dot-product ops (conv, fully-connected) run on `tier`
 /// ([`KernelTier::Exact`] keeps the bit-exact contract; `Fast` routes
@@ -301,200 +309,146 @@ pub(crate) fn eval_op_into(
     }
 }
 
-/// Evaluates one operator given its input tensors, allocating the output.
-///
-/// # Panics
-///
-/// Panics on operand-shape mismatches (the tensor kernels validate).
-pub(crate) fn eval_op(op: &Op, inputs: &[&Tensor]) -> Tensor {
-    let dims = op_output_dims(op, inputs);
-    let mut out = Tensor::zeros(&dims);
-    let mut patches = Vec::new();
-    // The allocating path is the bit-exact reference oracle: always
-    // Exact, regardless of any arena's tier.
-    eval_op_into(op, inputs, &mut out, &mut patches, KernelTier::Exact);
-    out
+/// Where a pass starts.
+#[derive(Debug, Clone, Copy)]
+pub enum Start<'a> {
+    /// A full forward pass from an image (shape [`Network::input_dims`]).
+    /// The tap is offered every dot-product layer, in topological order.
+    Image(&'a Tensor),
+    /// A suffix replay: recompute only `at` and the nodes downstream of
+    /// it, reading every other operand from `base`, a full pass over the
+    /// same network. The tap is applied exactly once, to `at`'s data
+    /// input, without consulting [`InputTap::wants`]. This is the
+    /// workhorse of the paper's profiling loop (§V-A steps 3–4): the
+    /// clean activations are computed once per image, then each
+    /// (layer, Δ) pair replays only the downstream part.
+    Replay {
+        /// The clean pass the replay reads unaffected operands from.
+        base: &'a Activations,
+        /// The dot-product layer whose data input is perturbed.
+        at: NodeId,
+    },
+}
+
+/// What a pass may vary besides its start: the input tap and the
+/// numerical guard.
+pub struct RunOpts<'t> {
+    /// Perturbs the data input of the dot-product layers it claims
+    /// ([`crate::tap::NoTap`] for a clean pass).
+    pub tap: &'t mut dyn InputTap,
+    /// Finiteness checks at each layer boundary
+    /// ([`ValidateConfig::off`] for none). A replay ignores
+    /// `check_input`: its operands come from an already-produced pass.
+    pub guard: ValidateConfig,
 }
 
 impl Network {
-    /// Runs a clean forward pass, returning every activation.
+    /// Runs one pass over `arena` and returns the output (logits) tensor.
+    ///
+    /// An [`Start::Image`] pass leaves every node's activation in the
+    /// arena ([`ExecArena::activations`]). A [`Start::Replay`] overwrites
+    /// only the recomputed slots and returns a reference into the arena,
+    /// or into `base` when the output is not downstream of `at`. Once the
+    /// arena is warm, a pass performs no heap allocation; the arena's
+    /// kernel tier decides how dot products are computed.
+    ///
+    /// # Errors
+    ///
+    /// Only with a guard on: [`ExecError::NonFiniteInput`] for a bad
+    /// image and [`ExecError::NonFiniteActivation`] naming the first
+    /// evaluated layer whose output contains NaN/Inf. The tap may itself
+    /// inject non-finite values — that is exactly what the
+    /// fault-injection harness does — and the sweep blames the first
+    /// layer whose *output* carries them.
     ///
     /// # Panics
     ///
-    /// Panics if `image` does not match [`Network::input_dims`].
-    pub fn forward(&self, image: &Tensor) -> Activations {
-        self.forward_tapped(image, &mut crate::tap::NoTap)
-    }
-
-    /// Runs a forward pass, letting `tap` perturb the data input of each
-    /// dot-product layer it claims (noise injection / quantization).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `image` does not match [`Network::input_dims`].
-    pub fn forward_tapped(&self, image: &Tensor, tap: &mut dyn InputTap) -> Activations {
-        assert_eq!(
-            image.dims(),
-            self.input_dims(),
-            "image shape does not match network input"
-        );
-        mupod_obs::counter_add("nn.forward_passes", 1);
-        mupod_obs::counter_add("nn.node_evals", self.nodes.len() as u64 - 1);
-        let mut tensors: Vec<Tensor> = Vec::with_capacity(self.nodes.len());
-        tensors.push(image.clone());
-        for (i, node) in self.nodes.iter().enumerate().skip(1) {
-            let id = NodeId(i);
-            let out = if node.op.is_dot_product() && tap.wants(id) {
-                let mut data_in = tensors[node.inputs[0].0].clone();
-                tap.apply(id, &mut data_in);
-                eval_op(&node.op, &[&data_in])
-            } else {
-                let inputs: Vec<&Tensor> = node.inputs.iter().map(|p| &tensors[p.0]).collect();
-                eval_op(&node.op, &inputs)
-            };
-            tensors.push(out);
-        }
-        Activations { tensors }
-    }
-
-    /// The output (logits) tensor of a completed pass.
-    pub fn output<'a>(&self, acts: &'a Activations) -> &'a Tensor {
-        acts.get(self.output)
-    }
-
-    /// Nodes affected by a perturbation at the data input of `start`:
-    /// `start` itself plus everything downstream of it.
-    pub(crate) fn affected_from(&self, start: NodeId) -> Vec<bool> {
-        let mut affected = vec![false; self.nodes.len()];
-        affected[start.0] = true;
-        for i in (start.0 + 1)..self.nodes.len() {
-            affected[i] = self.nodes[i].inputs.iter().any(|p| affected[p.0]);
-        }
-        affected
-    }
-
-    /// Replays only the suffix of the graph affected by perturbing the
-    /// data input of `start`, reading clean operands from `base`.
-    ///
-    /// Returns the resulting output (logits) tensor. `tap` is applied
-    /// exactly once, to `start`'s data input. This is the workhorse of
-    /// the paper's profiling loop (§V-A steps 3–4): the clean activations
-    /// are computed once per image, then each (layer, Δ) pair replays
-    /// only the downstream part.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start` is not a dot-product layer, or `base` does not
-    /// belong to this network.
-    pub fn forward_suffix(
+    /// Panics if the image does not match [`Network::input_dims`], `base`
+    /// does not belong to this network, `at` is not a dot-product layer,
+    /// or the arena was built for a different network.
+    pub fn run<'a>(
         &self,
-        base: &Activations,
-        start: NodeId,
-        tap: &mut dyn InputTap,
-    ) -> Tensor {
-        assert_eq!(
-            base.len(),
-            self.nodes.len(),
-            "activation cache does not match network"
-        );
-        assert!(
-            self.nodes[start.0].op.is_dot_product(),
-            "suffix replay must start at a dot-product layer"
-        );
-        let affected = self.affected_from(start);
-        mupod_obs::counter_add("nn.suffix_replays", 1);
+        start: Start<'a>,
+        opts: RunOpts<'_>,
+        arena: &'a mut ExecArena,
+    ) -> Result<&'a Tensor, ExecError> {
+        let RunOpts { tap, guard } = opts;
+        let n = self.nodes.len();
+        let tier = arena.tier;
+        let ExecArena {
+            acts,
+            patches,
+            tap_scratch,
+            affected,
+            ..
+        } = arena;
+        let tensors = acts.tensors_mut();
+        assert_eq!(tensors.len(), n, "arena does not match network");
+        affected.clear();
+        // `base` is `None` for a full pass; `first` is the first node
+        // evaluated. `affected` marks the nodes this pass recomputes.
+        let (base, first) = match start {
+            Start::Image(image) => {
+                assert_eq!(
+                    image.dims(),
+                    self.input_dims(),
+                    "image shape does not match network input"
+                );
+                if guard.check_input {
+                    image
+                        .validate_finite()
+                        .map_err(|source| ExecError::NonFiniteInput { source })?;
+                }
+                mupod_obs::counter_add("nn.forward_passes", 1);
+                tensors[0].copy_from(image);
+                affected.resize(n, true);
+                (None, 1)
+            }
+            Start::Replay { base, at } => {
+                assert_eq!(base.len(), n, "activation cache does not match network");
+                assert!(
+                    self.nodes[at.0].op.is_dot_product(),
+                    "suffix replay must start at a dot-product layer"
+                );
+                mupod_obs::counter_add("nn.suffix_replays", 1);
+                affected.resize(n, false);
+                affected[at.0] = true;
+                for i in (at.0 + 1)..n {
+                    affected[i] = self.nodes[i].inputs.iter().any(|p| affected[p.0]);
+                }
+                (Some(base), at.0)
+            }
+        };
         mupod_obs::counter_add(
             "nn.node_evals",
-            affected.iter().filter(|&&a| a).count() as u64,
+            affected[first..].iter().filter(|&&a| a).count() as u64,
         );
-        let mut fresh: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        for i in start.0..self.nodes.len() {
+        for i in first..n {
             if !affected[i] {
                 continue;
             }
             let node = &self.nodes[i];
-            let out = if i == start.0 {
-                let mut data_in = base.get(node.inputs[0]).clone();
-                tap.apply(NodeId(i), &mut data_in);
-                eval_op(&node.op, &[&data_in])
-            } else {
-                let inputs: Vec<&Tensor> = node
-                    .inputs
-                    .iter()
-                    .map(|p| fresh[p.0].as_ref().unwrap_or_else(|| base.get(*p)))
-                    .collect();
-                eval_op(&node.op, &inputs)
-            };
-            fresh[i] = Some(out);
-        }
-        fresh[self.output.0]
-            .take()
-            .unwrap_or_else(|| base.get(self.output).clone())
-    }
-
-    /// Runs a clean forward pass with numerical validation at every layer
-    /// boundary (default [`ValidateConfig`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::NonFiniteInput`] for a bad image and
-    /// [`ExecError::NonFiniteActivation`] naming the first layer whose
-    /// output contains NaN/Inf.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `image` does not match [`Network::input_dims`].
-    pub fn forward_checked(&self, image: &Tensor) -> Result<Activations, ExecError> {
-        self.forward_tapped_checked(image, &mut crate::tap::NoTap, ValidateConfig::default())
-    }
-
-    /// Runs a tapped forward pass with numerical validation.
-    ///
-    /// Equivalent to [`Network::forward_tapped`] plus a finiteness sweep
-    /// over the image (if `cfg.check_input`) and over each produced
-    /// activation (if `cfg.check_activations`). The tap may itself inject
-    /// non-finite values — that is exactly what the fault-injection
-    /// harness does — and the sweep attributes the fault to the first
-    /// layer whose *output* carries it.
-    ///
-    /// # Errors
-    ///
-    /// See [`Network::forward_checked`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `image` does not match [`Network::input_dims`].
-    pub fn forward_tapped_checked(
-        &self,
-        image: &Tensor,
-        tap: &mut dyn InputTap,
-        cfg: ValidateConfig,
-    ) -> Result<Activations, ExecError> {
-        assert_eq!(
-            image.dims(),
-            self.input_dims(),
-            "image shape does not match network input"
-        );
-        if cfg.check_input {
-            image
-                .validate_finite()
-                .map_err(|source| ExecError::NonFiniteInput { source })?;
-        }
-        mupod_obs::counter_add("nn.forward_passes", 1);
-        mupod_obs::counter_add("nn.node_evals", self.nodes.len() as u64 - 1);
-        let mut tensors: Vec<Tensor> = Vec::with_capacity(self.nodes.len());
-        tensors.push(image.clone());
-        for (i, node) in self.nodes.iter().enumerate().skip(1) {
             let id = NodeId(i);
-            let out = if node.op.is_dot_product() && tap.wants(id) {
-                let mut data_in = tensors[node.inputs[0].0].clone();
-                tap.apply(id, &mut data_in);
-                eval_op(&node.op, &[&data_in])
-            } else {
-                let inputs: Vec<&Tensor> = node.inputs.iter().map(|p| &tensors[p.0]).collect();
-                eval_op(&node.op, &inputs)
+            let (prev, rest) = tensors.split_at_mut(i);
+            let out = &mut rest[0];
+            let resolve = |p: NodeId| match base {
+                Some(b) if !affected[p.0] => b.get(p),
+                _ => &prev[p.0],
             };
-            if cfg.check_activations {
+            let tapped = match base {
+                Some(_) => i == first,
+                None => node.op.is_dot_product() && tap.wants(id),
+            };
+            if tapped {
+                let src = resolve(node.inputs[0]);
+                let scratch = tap_scratch[i].get_or_insert_with(|| src.clone());
+                scratch.copy_from(src);
+                tap.apply(id, scratch);
+                eval_op_into(&node.op, &[&*scratch], out, patches, tier);
+            } else {
+                eval_node_into(&node.op, &node.inputs, resolve, out, patches, tier);
+            }
+            if guard.check_activations {
                 out.validate_finite()
                     .map_err(|source| ExecError::NonFiniteActivation {
                         node: id,
@@ -502,103 +456,106 @@ impl Network {
                         source,
                     })?;
             }
-            tensors.push(out);
         }
-        Ok(Activations { tensors })
+        Ok(match base {
+            Some(b) if !affected[self.output.0] => b.get(self.output),
+            _ => &tensors[self.output.0],
+        })
     }
 
-    /// Suffix replay with numerical validation over the recomputed nodes.
-    ///
-    /// Validated counterpart of [`Network::forward_suffix`]: only the
-    /// affected suffix is swept (the clean prefix in `base` was already
-    /// validated when it was produced).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::NonFiniteActivation`] naming the first
-    /// recomputed layer whose output contains NaN/Inf.
+    /// Runs a clean forward pass on a fresh arena, returning every
+    /// activation.
     ///
     /// # Panics
     ///
-    /// Same as [`Network::forward_suffix`].
-    pub fn forward_suffix_checked(
+    /// Panics if `image` does not match [`Network::input_dims`].
+    pub fn forward(&self, image: &Tensor) -> Activations {
+        let mut arena = ExecArena::for_network(self);
+        self.forward_arena(image, &mut arena);
+        arena.acts
+    }
+
+    /// [`Network::forward`] with every layer boundary guarded by the
+    /// default [`ValidateConfig`].
+    ///
+    /// # Errors
+    ///
+    /// See [`Network::run`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `image` does not match [`Network::input_dims`].
+    pub fn forward_checked(&self, image: &Tensor) -> Result<Activations, ExecError> {
+        let mut arena = ExecArena::for_network(self);
+        let opts = RunOpts {
+            tap: &mut NoTap,
+            guard: ValidateConfig::default(),
+        };
+        self.run(Start::Image(image), opts, &mut arena)?;
+        Ok(arena.acts)
+    }
+
+    /// [`Network::forward`] over a reusable arena — zero heap allocation
+    /// once the arena is warm.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `image` does not match [`Network::input_dims`] or the
+    /// arena was built for a different network.
+    pub fn forward_arena<'a>(&self, image: &Tensor, arena: &'a mut ExecArena) -> &'a Activations {
+        self.forward_tapped_arena(image, &mut NoTap, arena)
+    }
+
+    /// An unguarded full pass under `tap` over a reusable arena.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `image` does not match [`Network::input_dims`] or the
+    /// arena was built for a different network.
+    pub fn forward_tapped_arena<'a>(
         &self,
-        base: &Activations,
-        start: NodeId,
+        image: &Tensor,
         tap: &mut dyn InputTap,
-        cfg: ValidateConfig,
-    ) -> Result<Tensor, ExecError> {
-        assert_eq!(
-            base.len(),
-            self.nodes.len(),
-            "activation cache does not match network"
-        );
-        assert!(
-            self.nodes[start.0].op.is_dot_product(),
-            "suffix replay must start at a dot-product layer"
-        );
-        let affected = self.affected_from(start);
-        mupod_obs::counter_add("nn.suffix_replays", 1);
-        mupod_obs::counter_add(
-            "nn.node_evals",
-            affected.iter().filter(|&&a| a).count() as u64,
-        );
-        let mut fresh: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        for i in start.0..self.nodes.len() {
-            if !affected[i] {
-                continue;
-            }
-            let node = &self.nodes[i];
-            let out = if i == start.0 {
-                let mut data_in = base.get(node.inputs[0]).clone();
-                tap.apply(NodeId(i), &mut data_in);
-                eval_op(&node.op, &[&data_in])
-            } else {
-                let inputs: Vec<&Tensor> = node
-                    .inputs
-                    .iter()
-                    .map(|p| fresh[p.0].as_ref().unwrap_or_else(|| base.get(*p)))
-                    .collect();
-                eval_op(&node.op, &inputs)
-            };
-            if cfg.check_activations {
-                out.validate_finite()
-                    .map_err(|source| ExecError::NonFiniteActivation {
-                        node: NodeId(i),
-                        name: node.name.clone(),
-                        source,
-                    })?;
-            }
-            fresh[i] = Some(out);
+        arena: &'a mut ExecArena,
+    ) -> &'a Activations {
+        let opts = RunOpts {
+            tap,
+            guard: ValidateConfig::off(),
+        };
+        if let Err(e) = self.run(Start::Image(image), opts, arena) {
+            // lint:allow(no-panic-path) reason=run fails only a guard check, and this pass runs with the guard off
+            unreachable!("unguarded pass failed: {e}");
         }
-        Ok(fresh[self.output.0]
-            .take()
-            .unwrap_or_else(|| base.get(self.output).clone()))
+        &arena.acts
     }
 
-    /// Classifies an image: the argmax of the logits after a clean pass.
+    /// The output (logits) tensor of a completed pass.
+    pub fn output<'a>(&self, acts: &'a Activations) -> &'a Tensor {
+        acts.get(self.output)
+    }
+
+    /// Classifies an image: the argmax of the logits after a clean pass
+    /// on a fresh arena.
     pub fn classify(&self, image: &Tensor) -> usize {
-        let acts = self.forward(image);
-        self.output(&acts).argmax()
+        self.classify_arena(image, &mut ExecArena::for_network(self))
     }
 
-    /// Classifies an image under a tap (noisy / quantized inference).
-    pub fn classify_tapped(&self, image: &Tensor, tap: &mut dyn InputTap) -> usize {
-        let acts = self.forward_tapped(image, tap);
-        self.output(&acts).argmax()
+    /// [`Network::classify`] over a reusable arena.
+    pub fn classify_arena(&self, image: &Tensor, arena: &mut ExecArena) -> usize {
+        self.output(self.forward_arena(image, arena)).argmax()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::graph::NetworkBuilder;
-    use crate::tap::{NoTap, UniformNoiseTap};
+    use crate::tap::{FaultKind, FaultTap, UniformNoiseTap};
     use mupod_stats::SeededRng;
     use mupod_tensor::conv::Conv2dParams;
     use mupod_tensor::pool::Pool2dParams;
 
-    fn random_tensor(rng: &mut SeededRng, dims: &[usize]) -> Tensor {
+    pub(crate) fn random_tensor(rng: &mut SeededRng, dims: &[usize]) -> Tensor {
         let n: usize = dims.iter().product();
         Tensor::from_vec(
             dims,
@@ -607,8 +564,8 @@ mod tests {
     }
 
     /// A net exercising every op: conv, affine, relu, pools, lrn,
-    /// residual add, concat, flatten, fc, softmax.
-    fn full_net(rng: &mut SeededRng) -> Network {
+    /// residual add, concat, flatten, fc.
+    pub(crate) fn full_net(rng: &mut SeededRng) -> Network {
         let mut b = NetworkBuilder::new(&[2, 8, 8]);
         let input = b.input();
         let c1 = b.conv2d(
@@ -651,6 +608,33 @@ mod tests {
         b.build(fc).unwrap()
     }
 
+    /// A suffix replay from `at` on a fresh arena.
+    fn replay(
+        net: &Network,
+        base: &Activations,
+        at: NodeId,
+        tap: &mut dyn InputTap,
+        guard: ValidateConfig,
+    ) -> Result<Tensor, ExecError> {
+        let mut arena = ExecArena::for_network(net);
+        let opts = RunOpts { tap, guard };
+        net.run(Start::Replay { base, at }, opts, &mut arena)
+            .cloned()
+    }
+
+    fn softmax(v: &[f32]) -> Tensor {
+        let input = Tensor::from_vec(&[v.len()], v.to_vec());
+        let mut out = Tensor::zeros(&[v.len()]);
+        eval_op_into(
+            &Op::Softmax,
+            &[&input],
+            &mut out,
+            &mut Vec::new(),
+            KernelTier::Exact,
+        );
+        out
+    }
+
     #[test]
     fn forward_shapes_all_ops() {
         let mut rng = SeededRng::new(3);
@@ -663,10 +647,7 @@ mod tests {
 
     #[test]
     fn softmax_sums_to_one() {
-        let out = eval_op(
-            &Op::Softmax,
-            &[&Tensor::from_vec(&[3], vec![1.0, 2.0, 3.0])],
-        );
+        let out = softmax(&[1.0, 2.0, 3.0]);
         let sum: f32 = out.data().iter().sum();
         assert!((sum - 1.0).abs() < 1e-6);
         assert!(out.data()[2] > out.data()[1]);
@@ -674,10 +655,7 @@ mod tests {
 
     #[test]
     fn softmax_is_stable_for_large_logits() {
-        let out = eval_op(
-            &Op::Softmax,
-            &[&Tensor::from_vec(&[2], vec![1000.0, 1001.0])],
-        );
+        let out = softmax(&[1000.0, 1001.0]);
         assert!(out.data().iter().all(|v| v.is_finite()));
     }
 
@@ -687,16 +665,17 @@ mod tests {
         let net = full_net(&mut rng);
         let image = random_tensor(&mut rng, &[2, 8, 8]);
         let base = net.forward(&image);
+        let mut arena = ExecArena::for_network(&net);
 
         for &layer in &net.dot_product_layers() {
             // The same seeded tap must produce identical outputs whether
             // we replay the suffix or rerun the full network.
             let mut tap_a = UniformNoiseTap::single(layer, 0.05, SeededRng::new(77));
-            let suffix_out = net.forward_suffix(&base, layer, &mut tap_a);
+            let suffix_out = replay(&net, &base, layer, &mut tap_a, ValidateConfig::off()).unwrap();
 
             let mut tap_b = UniformNoiseTap::single(layer, 0.05, SeededRng::new(77));
-            let full = net.forward_tapped(&image, &mut tap_b);
-            let full_out = net.output(&full);
+            let full = net.forward_tapped_arena(&image, &mut tap_b, &mut arena);
+            let full_out = net.output(full);
 
             assert_eq!(suffix_out.dims(), full_out.dims());
             for (a, b) in suffix_out.data().iter().zip(full_out.data()) {
@@ -712,7 +691,7 @@ mod tests {
         let image = random_tensor(&mut rng, &[2, 8, 8]);
         let base = net.forward(&image);
         let layer = net.dot_product_layers()[1];
-        let out = net.forward_suffix(&base, layer, &mut NoTap);
+        let out = replay(&net, &base, layer, &mut NoTap, ValidateConfig::off()).unwrap();
         for (a, b) in out.data().iter().zip(net.output(&base).data()) {
             assert!((a - b).abs() < 1e-6);
         }
@@ -726,7 +705,7 @@ mod tests {
         let base = net.forward(&image);
         let layer = net.dot_product_layers()[0];
         let mut tap = UniformNoiseTap::single(layer, 0.5, SeededRng::new(1));
-        let noisy = net.forward_suffix(&base, layer, &mut tap);
+        let noisy = replay(&net, &base, layer, &mut tap, ValidateConfig::off()).unwrap();
         let diff = noisy.sub(net.output(&base));
         assert!(diff.max_abs() > 0.0);
     }
@@ -776,16 +755,17 @@ mod tests {
 
     #[test]
     fn checked_pass_blames_first_faulty_layer() {
-        use crate::tap::{FaultKind, FaultTap};
         let mut rng = SeededRng::new(25);
         let net = full_net(&mut rng);
         let image = random_tensor(&mut rng, &[2, 8, 8]);
         let layer = net.dot_product_layers()[1];
         let mut tap = FaultTap::single_element(layer, FaultKind::Nan);
-        match net
-            .forward_tapped_checked(&image, &mut tap, ValidateConfig::default())
-            .unwrap_err()
-        {
+        let opts = RunOpts {
+            tap: &mut tap,
+            guard: ValidateConfig::default(),
+        };
+        let mut arena = ExecArena::for_network(&net);
+        match net.run(Start::Image(&image), opts, &mut arena).unwrap_err() {
             // The NaN enters via the tapped layer's input, so the tapped
             // layer itself is the first to emit a non-finite output.
             ExecError::NonFiniteActivation { node, .. } => assert_eq!(node, layer),
@@ -795,16 +775,13 @@ mod tests {
 
     #[test]
     fn checked_suffix_replay_detects_injected_inf() {
-        use crate::tap::{FaultKind, FaultTap};
         let mut rng = SeededRng::new(27);
         let net = full_net(&mut rng);
         let image = random_tensor(&mut rng, &[2, 8, 8]);
         let base = net.forward(&image);
         let layer = net.dot_product_layers()[0];
         let mut tap = FaultTap::new(layer, FaultKind::PosInf, 1);
-        let err = net
-            .forward_suffix_checked(&base, layer, &mut tap, ValidateConfig::default())
-            .unwrap_err();
+        let err = replay(&net, &base, layer, &mut tap, ValidateConfig::default()).unwrap_err();
         assert!(matches!(err, ExecError::NonFiniteActivation { .. }));
         let msg = err.to_string();
         assert!(msg.contains("numerically invalid"), "{msg}");
@@ -812,7 +789,6 @@ mod tests {
 
     #[test]
     fn validation_off_passes_faults_through() {
-        use crate::tap::{FaultKind, FaultTap};
         let mut rng = SeededRng::new(29);
         let net = full_net(&mut rng);
         let image = random_tensor(&mut rng, &[2, 8, 8]);
@@ -822,23 +798,40 @@ mod tests {
         // though a NaN flowed through it — max-based ops (ReLU, pooling)
         // can even launder it back into finite-but-wrong values. This is
         // exactly the silent corruption the guardrails exist to prevent.
-        assert!(net
-            .forward_tapped_checked(&image, &mut tap, ValidateConfig::off())
-            .is_ok());
+        let opts = RunOpts {
+            tap: &mut tap,
+            guard: ValidateConfig::off(),
+        };
+        let mut arena = ExecArena::for_network(&net);
+        assert!(net.run(Start::Image(&image), opts, &mut arena).is_ok());
     }
 
     #[test]
     fn affected_set_is_downstream_closure() {
         let mut rng = SeededRng::new(19);
         let net = full_net(&mut rng);
-        let layers = net.dot_product_layers();
-        let first = layers[0];
-        let affected = net.affected_from(first);
+        let image = random_tensor(&mut rng, &[2, 8, 8]);
+        let base = net.forward(&image);
+        let first = net.dot_product_layers()[0];
+        let mut arena = ExecArena::for_network(&net);
+        let opts = RunOpts {
+            tap: &mut NoTap,
+            guard: ValidateConfig::off(),
+        };
+        net.run(
+            Start::Replay {
+                base: &base,
+                at: first,
+            },
+            opts,
+            &mut arena,
+        )
+        .unwrap();
         // Everything from the first conv onward is downstream of it in
         // this topology.
-        assert!(affected[first.index()]);
-        assert!(affected[net.output_id().index()]);
+        assert!(arena.affected[first.index()]);
+        assert!(arena.affected[net.output_id().index()]);
         // The input placeholder is never affected.
-        assert!(!affected[0]);
+        assert!(!arena.affected[0]);
     }
 }

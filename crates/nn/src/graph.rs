@@ -1,5 +1,6 @@
 //! Network construction and validation.
 
+use crate::exec::op_output_dims;
 use crate::layer::{Node, NodeId, Op};
 use mupod_quant::FixedPointFormat;
 use mupod_tensor::conv::Conv2dParams;
@@ -41,7 +42,7 @@ pub struct Network {
     pub(crate) nodes: Vec<Node>,
     pub(crate) input_dims: Vec<usize>,
     pub(crate) output: NodeId,
-    /// Output dims of every node, recorded during the validation pass.
+    /// Output dims of every node, recorded by the build step.
     pub(crate) out_dims: Vec<Vec<usize>>,
 }
 
@@ -70,13 +71,29 @@ impl Network {
         &self.nodes[id.0]
     }
 
-    /// Output shape of a node, as recorded by the validation dry run.
+    /// Output shape of a node, as recorded by the build step.
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range.
     pub fn node_out_dims(&self, id: NodeId) -> &[usize] {
         &self.out_dims[id.0]
+    }
+
+    /// Every node's output shape, inferred node by node from the image
+    /// shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics on operand shapes that leave an output shape undefined.
+    fn infer_out_dims(&self) -> Vec<Vec<usize>> {
+        let mut dims = vec![self.input_dims.clone()];
+        for node in &self.nodes[1..] {
+            let inputs: Vec<&[usize]> = node.inputs.iter().map(|p| dims[p.0].as_slice()).collect();
+            let out = op_output_dims(&node.op, &inputs);
+            dims.push(out);
+        }
+        dims
     }
 
     /// Looks a node up by name.
@@ -421,8 +438,8 @@ impl NetworkBuilder {
 
     /// Finalizes the network with `output` as the designated logits node.
     ///
-    /// Runs one dry forward pass on a zero image to validate every shape
-    /// and record per-node output dimensions.
+    /// Records every node's output dimensions, then runs one dry forward
+    /// pass on a zero image to validate them.
     ///
     /// # Errors
     ///
@@ -453,17 +470,16 @@ impl NetworkBuilder {
             output,
             out_dims: vec![],
         };
-        // Dry run to validate shapes; tensor kernels panic on mismatch,
-        // so trap the panic and convert it into a build error.
-        let zero = Tensor::zeros(&net.input_dims.clone());
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| net.forward(&zero)));
+        // Infer every node's output shape, then validate them with one
+        // pass on a zero image; shape inference and the tensor kernels
+        // panic on mismatch, so trap the panic and convert it into a
+        // build error.
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            net.out_dims = net.infer_out_dims();
+            net.forward(&Tensor::zeros(&net.input_dims));
+        }));
         match result {
-            Ok(acts) => {
-                net.out_dims = (0..net.nodes.len())
-                    .map(|i| acts.get(NodeId(i)).dims().to_vec())
-                    .collect();
-                Ok(net)
-            }
+            Ok(()) => Ok(net),
             Err(payload) => {
                 let msg = payload
                     .downcast_ref::<String>()

@@ -1,11 +1,13 @@
 //! Property tests: suffix replay is exactly equivalent to a full tapped
-//! pass, on randomized weights, images, layers, and noise magnitudes.
+//! pass, on randomized weights, images, layers, and noise magnitudes —
+//! and turning the numerical guard on changes no bit of either.
 //!
 //! This equivalence is the correctness backbone of the profiler — if it
 //! drifted, every `λ_K`/`θ_K` measured with the fast path would be wrong.
 
-use mupod_nn::tap::{QuantizeTap, UniformNoiseTap};
-use mupod_nn::{Network, NetworkBuilder};
+use mupod_nn::tap::{InputTap, NoTap, QuantizeTap, UniformNoiseTap};
+use mupod_nn::ValidateConfig;
+use mupod_nn::{Activations, ExecArena, Network, NetworkBuilder, NodeId, RunOpts, Start};
 use mupod_quant::FixedPointFormat;
 use mupod_stats::SeededRng;
 use mupod_tensor::conv::Conv2dParams;
@@ -63,6 +65,47 @@ fn random_net(seed: u64) -> Network {
     b.build(fc).expect("random net builds")
 }
 
+fn guard(on: bool) -> ValidateConfig {
+    if on {
+        ValidateConfig::default()
+    } else {
+        ValidateConfig::off()
+    }
+}
+
+/// The logits of one pass from `start` on a fresh arena.
+fn run(net: &Network, start: Start<'_>, tap: &mut dyn InputTap, guarded: bool) -> Tensor {
+    let mut arena = ExecArena::for_network(net);
+    let opts = RunOpts {
+        tap,
+        guard: guard(guarded),
+    };
+    net.run(start, opts, &mut arena)
+        .expect("finite inputs pass the guard")
+        .clone()
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// A suffix replay from `at` under the tap `make_tap` builds, with the
+/// guard on or off; a second replay with the guard flipped must agree
+/// bit for bit.
+fn replay(
+    net: &Network,
+    base: &Activations,
+    at: NodeId,
+    make_tap: &dyn Fn() -> Box<dyn InputTap>,
+    guarded: bool,
+) -> Tensor {
+    let start = Start::Replay { base, at };
+    let out = run(net, start, &mut *make_tap(), guarded);
+    let flipped = run(net, start, &mut *make_tap(), !guarded);
+    assert_eq!(bits(&out), bits(&flipped), "the guard changed the numbers");
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -73,6 +116,7 @@ proptest! {
         noise_seed in 0u64..500,
         layer_idx in 0usize..5,
         delta in 0.001f64..2.0,
+        guarded in any::<bool>(),
     ) {
         let net = random_net(net_seed);
         let layers = net.dot_product_layers();
@@ -81,12 +125,11 @@ proptest! {
         let image = random_tensor(&mut rng, &[2, 8, 8]);
         let base = net.forward(&image);
 
-        let mut tap_a = UniformNoiseTap::single(layer, delta, SeededRng::new(noise_seed));
-        let suffix = net.forward_suffix(&base, layer, &mut tap_a);
-
-        let mut tap_b = UniformNoiseTap::single(layer, delta, SeededRng::new(noise_seed));
-        let full = net.forward_tapped(&image, &mut tap_b);
-        let full_out = net.output(&full);
+        let make_tap = || -> Box<dyn InputTap> {
+            Box::new(UniformNoiseTap::single(layer, delta, SeededRng::new(noise_seed)))
+        };
+        let suffix = replay(&net, &base, layer, &make_tap, guarded);
+        let full_out = run(&net, Start::Image(&image), &mut *make_tap(), !guarded);
 
         for (a, b) in suffix.data().iter().zip(full_out.data()) {
             prop_assert!((a - b).abs() < 1e-4, "suffix {a} vs full {b}");
@@ -99,6 +142,7 @@ proptest! {
         img_seed in 0u64..500,
         layer_idx in 0usize..5,
         frac_bits in 0i32..10,
+        guarded in any::<bool>(),
     ) {
         let net = random_net(net_seed);
         let layers = net.dot_product_layers();
@@ -108,11 +152,11 @@ proptest! {
         let base = net.forward(&image);
         let fmt = FixedPointFormat::new(8, frac_bits);
 
-        let mut tap_a = QuantizeTap::new([(layer, fmt)].into_iter().collect());
-        let suffix = net.forward_suffix(&base, layer, &mut tap_a);
-        let mut tap_b = QuantizeTap::new([(layer, fmt)].into_iter().collect());
-        let full = net.forward_tapped(&image, &mut tap_b);
-        let full_out = net.output(&full);
+        let make_tap = || -> Box<dyn InputTap> {
+            Box::new(QuantizeTap::new([(layer, fmt)].into_iter().collect()))
+        };
+        let suffix = replay(&net, &base, layer, &make_tap, guarded);
+        let full_out = run(&net, Start::Image(&image), &mut *make_tap(), !guarded);
         for (a, b) in suffix.data().iter().zip(full_out.data()) {
             prop_assert!((a - b).abs() < 1e-4);
         }
@@ -123,6 +167,7 @@ proptest! {
         net_seed in 0u64..500,
         img_seed in 0u64..500,
         layer_idx in 0usize..5,
+        guarded in any::<bool>(),
     ) {
         let net = random_net(net_seed);
         let layers = net.dot_product_layers();
@@ -130,7 +175,7 @@ proptest! {
         let mut rng = SeededRng::new(img_seed);
         let image = random_tensor(&mut rng, &[2, 8, 8]);
         let base = net.forward(&image);
-        let out = net.forward_suffix(&base, layer, &mut mupod_nn::tap::NoTap);
+        let out = replay(&net, &base, layer, &|| Box::new(NoTap), guarded);
         for (a, b) in out.data().iter().zip(net.output(&base).data()) {
             prop_assert!((a - b).abs() < 1e-6);
         }

@@ -25,6 +25,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
+use crate::conn;
 use crate::server::{ServeConfig, Shared, POLL};
 use crate::telemetry;
 
@@ -47,20 +48,11 @@ pub(crate) fn run_admin(
     stop: &(dyn Fn() -> bool + Sync),
     respond: &(dyn Fn(&str) -> Option<AdminResponse> + Sync),
 ) {
-    std::thread::scope(|s| loop {
-        if stop() {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                mupod_obs::counter_add("serve.admin_requests", 1);
-                s.spawn(move || handle_admin(stream, respond));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL);
-            }
-            Err(_) => std::thread::sleep(POLL),
-        }
+    std::thread::scope(|s| {
+        conn::accept_until(listener, stop, "serve.admin_accept_error", |stream| {
+            mupod_obs::counter_add("serve.admin_requests", 1);
+            s.spawn(move || handle_admin(stream, respond));
+        });
     });
 }
 
@@ -126,9 +118,7 @@ fn read_request(stream: &mut TcpStream) -> Option<Vec<u8>> {
         match stream.read(&mut chunk) {
             Ok(0) => return if buf.is_empty() { None } else { Some(buf) },
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
+            Err(e) if conn::is_timeout(&e) => {}
             Err(_) => return None,
         }
     }

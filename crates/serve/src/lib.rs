@@ -38,6 +38,7 @@
 
 mod admin;
 mod client;
+mod conn;
 pub mod frame;
 mod queue;
 pub mod router;

@@ -36,7 +36,7 @@ pub(crate) mod pool;
 pub(crate) mod reload;
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -47,8 +47,9 @@ use mupod_obs::{Exposition, FlightRecorder, FlightStage, Gauge, RollingHistogram
 use mupod_runtime::{CancelToken, StatusCode};
 
 use crate::admin;
+use crate::conn::{self, read_remaining};
 use crate::frame::{self, FrameError, ReqKind, ShardState, HEADER_LEN, TRACE_ID_LEN};
-use crate::server::{percentiles_us, Bound, POLL};
+use crate::server::{percentiles_us, Bound};
 
 pub use breaker::BreakerState;
 pub use reload::{reload_shard, ReloadError};
@@ -63,8 +64,6 @@ const RELAY_GRACE: Duration = Duration::from_secs(2);
 /// Once a frame's first byte arrives, the rest must follow within this
 /// window (mirrors the shard's frame read timeout).
 const FRAME_READ_TIMEOUT: Duration = Duration::from_secs(2);
-/// Client-side socket write timeout.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 /// Flight-recorder ring size.
 const FLIGHT_CAPACITY: usize = 4096;
 /// Rolling-window shape for routed-latency quantiles.
@@ -406,15 +405,11 @@ pub fn route(
     if cfg.shards.is_empty() {
         return Err(RouteError::NoShards);
     }
-    let bind = |addr: &str| -> Result<(TcpListener, SocketAddr), RouteError> {
-        let to_err = |source| RouteError::Bind {
+    let bind = |addr: &str| {
+        conn::bind_nonblocking(addr).map_err(|source| RouteError::Bind {
             addr: addr.to_string(),
             source,
-        };
-        let listener = TcpListener::bind(addr).map_err(to_err)?;
-        let local = listener.local_addr().map_err(to_err)?;
-        listener.set_nonblocking(true).map_err(to_err)?;
-        Ok((listener, local))
+        })
     };
     let (listener, local) = bind(&cfg.addr)?;
     let metrics = cfg.metrics_addr.as_deref().map(bind).transpose()?;
@@ -459,29 +454,16 @@ pub fn route(
                 );
             });
         }
-        loop {
-            if token.is_cancelled() || shared.is_draining() {
-                break;
-            }
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    mupod_obs::counter_add("route.connections", 1);
-                    let sh = Arc::clone(&shared);
-                    s.spawn(move || handle_client(stream, &sh));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL);
-                }
-                Err(e) => {
-                    mupod_obs::event(
-                        mupod_obs::Level::Warn,
-                        "route.accept_error",
-                        &[("error", &e.to_string())],
-                    );
-                    std::thread::sleep(POLL);
-                }
-            }
-        }
+        conn::accept_until(
+            &listener,
+            || token.is_cancelled() || shared.is_draining(),
+            "route.accept_error",
+            |stream| {
+                mupod_obs::counter_add("route.connections", 1);
+                let sh = Arc::clone(&shared);
+                s.spawn(move || handle_client(stream, &sh));
+            },
+        );
         shared.begin_drain();
     });
     if let Some(path) = cfg.flight_out.as_deref() {
@@ -533,62 +515,19 @@ pub fn route(
     Ok(report)
 }
 
-/// Per-connection front loop (mirrors the shard's handler loop).
-fn handle_client(mut stream: TcpStream, shared: &Arc<RouterShared>) {
-    let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(POLL)).is_err() {
-        return;
-    }
-    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-    let mut first = [0u8; 1];
-    loop {
-        if shared.is_draining() {
-            break;
-        }
-        match stream.read(&mut first) {
-            Ok(0) => break,
-            Ok(_) => {
-                if !serve_front_one(&mut stream, first[0], shared) {
-                    break;
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => {
-                shared
-                    .stats
-                    .client_disconnects
-                    .fetch_add(1, Ordering::Relaxed);
-                break;
-            }
-        }
-    }
-}
-
-/// Reads exactly `buf`, giving up at `deadline` (front copy of the
-/// shard's bounded read).
-fn read_remaining(stream: &mut TcpStream, buf: &mut [u8], deadline: Instant) -> bool {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return false,
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if Instant::now() >= deadline {
-                    return false;
-                }
-            }
-            Err(_) => return false,
-        }
-    }
-    true
+/// Per-connection front loop (the shard's frame loop, front handler).
+fn handle_client(stream: TcpStream, shared: &Arc<RouterShared>) {
+    conn::frame_loop(
+        stream,
+        || shared.is_draining(),
+        || {
+            shared
+                .stats
+                .client_disconnects
+                .fetch_add(1, Ordering::Relaxed);
+        },
+        |stream, first| serve_front_one(stream, first, shared),
+    );
 }
 
 /// Writes router-originated (not relayed) response bytes to the client.
@@ -1225,6 +1164,7 @@ mod tests {
     use crate::server::{run, ServeConfig, ServeError, ServeReport};
     use crate::test_util::{image, tiny_net};
     use mupod_runtime::{CancelReason, CancelToken};
+    use std::net::TcpListener;
     use std::sync::mpsc;
     use std::thread::JoinHandle;
 

@@ -17,8 +17,8 @@
 //! | 2     | queue ≥ ¾ capacity    | low-priority requests rejected `ServerBusy` at admission |
 //! | 3     | SIGINT / fatal error  | drain: stop accepting, finish in-flight, answer queued `Draining` |
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Write;
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -30,6 +30,7 @@ use mupod_obs::FlightStage;
 use mupod_runtime::{CancelToken, StatusCode};
 
 use crate::admin;
+use crate::conn::{self, read_remaining};
 use crate::frame::{self, FrameError, Priority, ReqKind, ShardState, HEADER_LEN, TRACE_ID_LEN};
 use crate::queue::{BoundedQueue, PushError};
 use crate::telemetry::Telemetry;
@@ -41,8 +42,6 @@ pub(crate) const POLL: Duration = Duration::from_millis(50);
 /// Once a frame's first byte arrives, the rest must follow within this
 /// window or the connection is dropped with `BadRequest`.
 const FRAME_READ_TIMEOUT: Duration = Duration::from_secs(2);
-/// Socket write timeout: a peer that stops reading cannot pin a handler.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 /// Grace on top of a request's deadline for the worker's answer to
 /// arrive before the handler gives up (covers batch execution time).
 const RESPONSE_GRACE: Duration = Duration::from_secs(10);
@@ -380,15 +379,11 @@ pub fn run_reloadable(
     reloader: Option<&Reloader>,
     on_ready: impl FnOnce(Bound),
 ) -> Result<ServeReport, ServeError> {
-    let bind = |addr: &str| -> Result<(TcpListener, SocketAddr), ServeError> {
-        let to_err = |source| ServeError::Bind {
+    let bind = |addr: &str| {
+        conn::bind_nonblocking(addr).map_err(|source| ServeError::Bind {
             addr: addr.to_string(),
             source,
-        };
-        let listener = TcpListener::bind(addr).map_err(to_err)?;
-        let local = listener.local_addr().map_err(to_err)?;
-        listener.set_nonblocking(true).map_err(to_err)?;
-        Ok((listener, local))
+        })
     };
     let (listener, local) = bind(&cfg.addr)?;
     let metrics = cfg.metrics_addr.as_deref().map(bind).transpose()?;
@@ -415,28 +410,15 @@ pub fn run_reloadable(
         if let Some((metrics_listener, _)) = metrics {
             s.spawn(move || admin::admin_loop(&metrics_listener, cfg, shared));
         }
-        loop {
-            if token.is_cancelled() || shared.is_draining() {
-                break;
-            }
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    mupod_obs::counter_add("serve.connections", 1);
-                    s.spawn(move || handle_conn(stream, cfg, shared, reloader));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL);
-                }
-                Err(e) => {
-                    mupod_obs::event(
-                        mupod_obs::Level::Warn,
-                        "serve.accept_error",
-                        &[("error", &e.to_string())],
-                    );
-                    std::thread::sleep(POLL);
-                }
-            }
-        }
+        conn::accept_until(
+            &listener,
+            || token.is_cancelled() || shared.is_draining(),
+            "serve.accept_error",
+            |stream| {
+                mupod_obs::counter_add("serve.connections", 1);
+                s.spawn(move || handle_conn(stream, cfg, shared, reloader));
+            },
+        );
         shared.begin_drain();
         // The scope joins every worker and handler before returning:
         // workers exit when the closed queue runs dry, handlers when
@@ -502,68 +484,20 @@ fn ladder_level(queue_len: usize, capacity: usize) -> u8 {
 /// peer leaves, the frame stream goes bad, or the server drains.
 /// Input dims are a reload invariant (a dims-changing reload is
 /// rejected), so the expected element count is computed once.
-fn handle_conn(
-    mut stream: TcpStream,
-    cfg: &ServeConfig,
-    shared: &Shared,
-    reloader: Option<&Reloader>,
-) {
+fn handle_conn(stream: TcpStream, cfg: &ServeConfig, shared: &Shared, reloader: Option<&Reloader>) {
     let expected_elems: usize = shared.current_net().input_dims().iter().product();
-    let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(POLL)).is_err() {
-        return;
-    }
-    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-    let mut first = [0u8; 1];
-    loop {
-        if shared.is_draining() {
-            break;
-        }
-        match stream.read(&mut first) {
-            Ok(0) => break,
-            Ok(_) => {
-                if !serve_one(&mut stream, first[0], expected_elems, cfg, shared, reloader) {
-                    break;
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => {
-                shared
-                    .stats
-                    .client_disconnects
-                    .fetch_add(1, Ordering::Relaxed);
-                mupod_obs::counter_add("serve.client_disconnects", 1);
-                break;
-            }
-        }
-    }
-}
-
-/// Reads exactly `buf` from a stream whose read timeout slices the
-/// wait, giving up at `deadline`. `false` means truncated/disconnected.
-fn read_remaining(stream: &mut TcpStream, buf: &mut [u8], deadline: Instant) -> bool {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return false,
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if Instant::now() >= deadline {
-                    return false;
-                }
-            }
-            Err(_) => return false,
-        }
-    }
-    true
+    conn::frame_loop(
+        stream,
+        || shared.is_draining(),
+        || {
+            shared
+                .stats
+                .client_disconnects
+                .fetch_add(1, Ordering::Relaxed);
+            mupod_obs::counter_add("serve.client_disconnects", 1);
+        },
+        |stream, first| serve_one(stream, first, expected_elems, cfg, shared, reloader),
+    );
 }
 
 /// Writes a response frame, echoing the request's trace ID when
