@@ -956,10 +956,10 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
 
 /// Executes a parsed command under supervision.
 ///
-/// `token` is the run's cancellation token; `main` wires it to SIGINT
-/// via [`mupod_runtime::install_sigint`] so Ctrl-C drains the pipeline
-/// at the next checkpoint — observability exports still happen, partial
-/// artifacts stay intact — and the process exits 130.
+/// `token` is the run's cancellation token; [`run_interruptible`] wires
+/// one to SIGINT so Ctrl-C drains the pipeline at the next checkpoint —
+/// observability exports still happen, partial artifacts stay intact —
+/// and the process exits 130.
 ///
 /// # Errors
 ///
@@ -967,6 +967,23 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
 /// / [`CliError::StageTimeout`] / [`CliError::Interrupted`] from the
 /// supervisor (distinct exit codes; see [`CliError`]).
 pub fn run_with_token(cmd: &Command, token: &CancelToken) -> Result<String, CliError> {
+    run_recorded(cmd, token, false)
+}
+
+/// Executes a parsed command as the `mupod` binary does: like
+/// [`run_with_token`] on a fresh token, with SIGINT wired to it via
+/// [`mupod_runtime::install_sigint`]. The SIGINT watcher starts inside
+/// the run's recorder scope, so an interrupt is counted in the run's
+/// `--metrics-out`.
+///
+/// # Errors
+///
+/// As [`run_with_token`].
+pub fn run_interruptible(cmd: &Command) -> Result<String, CliError> {
+    run_recorded(cmd, &CancelToken::new(), true)
+}
+
+fn run_recorded(cmd: &Command, token: &CancelToken, sigint: bool) -> Result<String, CliError> {
     // Route/reload are model-free and carry their own log level; the
     // pipeline subcommands share CommonArgs (and its export flags).
     let (log_level, common) = match cmd {
@@ -979,12 +996,15 @@ pub fn run_with_token(cmd: &Command, token: &CancelToken) -> Result<String, CliE
         | Command::Serve(c, _)
         | Command::Query(c, _) => (c.log_level, Some(c)),
     };
-    // One recorder per invocation. Installing serializes concurrent
-    // `run` calls in one process (the facade is process-global); the
-    // guard is dropped before the exporters read the snapshot so every
-    // span has closed.
+    // One recorder per invocation, current on this thread and inherited
+    // by every thread the run spawns, so concurrent `run` calls in one
+    // process keep separate metrics. The guard is dropped before the
+    // exporters read the snapshot so every span has closed.
     let recorder = mupod_obs::Recorder::new(log_level);
     let guard = recorder.install();
+    if sigint {
+        mupod_runtime::install_sigint(token);
+    }
     let result = run_inner(cmd, token);
     drop(guard);
     // Export even when the pipeline failed or was cancelled — a trace of
@@ -2024,8 +2044,10 @@ mod tests {
         assert_eq!(std::fs::read_to_string(&csv).unwrap(), first_csv);
     }
 
-    /// Asserts through the exported files only: `run` installs its own
-    /// recorder, so the test must not install one of its own around it.
+    /// Asserts through the exported files. `run` installs its own
+    /// recorder, current on this test's thread and inherited by the
+    /// threads the run spawns, so sibling tests running in parallel in
+    /// the same process cannot leak counts into the exports.
     #[test]
     fn metrics_and_trace_exports_are_deterministic() {
         let dir = std::env::temp_dir().join("mupod_cli_obs_test");

@@ -39,6 +39,22 @@ fn profile_args(out: &Path) -> Vec<String> {
     .collect()
 }
 
+/// `--metrics-out <path>` as arguments.
+fn metrics_args(path: &Path) -> [String; 2] {
+    ["--metrics-out".to_string(), path.display().to_string()]
+}
+
+/// One counter of a sealed `--metrics-out` snapshot (0 when absent).
+fn counter(metrics: &Path, key: &str) -> f64 {
+    let bytes = mupod_runtime::read_verified(metrics).expect("sealed metrics verify");
+    let doc = mupod_obs::json::parse(std::str::from_utf8(&bytes).unwrap()).expect("metrics JSON");
+    doc.as_object().unwrap()["counters"]
+        .as_object()
+        .unwrap()
+        .get(key)
+        .map_or(0.0, |v| v.as_f64().unwrap())
+}
+
 /// Sends SIGINT to a child process (raw FFI; no external crates).
 fn send_sigint(child: &Child) {
     extern "C" {
@@ -73,8 +89,10 @@ fn sigint_drains_and_exits_130_leaving_prior_artifact_intact() {
     let prior = b"previous deliverable\n".to_vec();
     std::fs::write(&out, &prior).unwrap();
 
+    let metrics = dir.join("m.json");
     let child = mupod()
         .args(profile_args(&out))
+        .args(metrics_args(&metrics))
         .env("MUPOD_TEST_STAGE_DELAY_MS", "30000")
         .spawn()
         .unwrap();
@@ -88,6 +106,9 @@ fn sigint_drains_and_exits_130_leaving_prior_artifact_intact() {
         prior,
         "interrupted run must leave the previous artifact bit-identical"
     );
+    // The SIGINT watcher runs under the run's recorder: the interrupt
+    // is counted once in the run's own metrics.
+    assert_eq!(counter(&metrics, "runtime.cancellations"), 1.0);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -95,8 +116,10 @@ fn sigint_drains_and_exits_130_leaving_prior_artifact_intact() {
 fn stage_timeout_exits_4_with_diagnostic() {
     let dir = tmp_dir("timeout");
     let out = dir.join("p.csv");
+    let metrics = dir.join("m.json");
     let output = mupod()
         .args(profile_args(&out))
+        .args(metrics_args(&metrics))
         .args(["--stage-timeout", "0.3"])
         .env("MUPOD_TEST_STAGE_DELAY_MS", "30000")
         .output()
@@ -105,6 +128,9 @@ fn stage_timeout_exits_4_with_diagnostic() {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("deadline"), "stderr: {stderr}");
     assert!(!out.exists(), "timed-out run must not produce the artifact");
+    // The watchdog thread inherits the run's recorder.
+    assert_eq!(counter(&metrics, "runtime.stage_timeouts"), 1.0);
+    assert_eq!(counter(&metrics, "runtime.cancellations"), 1.0);
     std::fs::remove_dir_all(&dir).ok();
 }
 

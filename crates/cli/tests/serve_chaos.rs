@@ -390,3 +390,101 @@ fn second_sigint_hard_exits_130_with_batch_in_flight() {
         "second SIGINT must not wait for the in-flight batch"
     );
 }
+
+/// The number printed right before `label` in the drain summary, e.g. 3
+/// from "3 ok,".
+fn summary_count(summary: &str, label: &str) -> f64 {
+    let words: Vec<&str> = summary.split_whitespace().collect();
+    words
+        .windows(2)
+        .find(|w| w[1].trim_end_matches([',', ';']) == label)
+        .unwrap_or_else(|| panic!("no `{label}` count in summary: {summary}"))[0]
+        .parse()
+        .expect("numeric count")
+}
+
+#[test]
+fn metrics_out_serve_counters_equal_the_drain_summary() {
+    let dir = std::env::temp_dir().join(format!("mupod_serve_metrics_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let metrics = dir.join("m.json");
+    let metrics_arg = metrics.display().to_string();
+    let (child, addr, mut reader) = start_serve(
+        &["--chaos", "--metrics-out", &metrics_arg],
+        &[("MUPOD_SERVE_TEST_SLOW_MS", "150")],
+    );
+    // Served, expired, crashed and malformed requests, plus a peer that
+    // leaves before its answer (counted as a disconnect, or as served
+    // when the write lands before the peer's reset does).
+    let mut conn = connect(addr);
+    for _ in 0..3 {
+        let ok = conn.classify(&image(), 0, Priority::High).expect("reply");
+        assert_eq!(ok.status, StatusCode::Ok);
+    }
+    let late = conn.classify(&image(), 20, Priority::High).expect("reply");
+    assert_eq!(late.status, StatusCode::DeadlineExceeded);
+    let crash = conn.chaos_panic().expect("reply");
+    assert_eq!(crash.status, StatusCode::WorkerCrashed);
+    {
+        let mut raw = TcpStream::connect(addr).unwrap();
+        let mut bad = frame::encode_request(frame::ReqKind::Classify, Priority::High, 0, &image());
+        bad[..4].copy_from_slice(b"oops");
+        raw.write_all(&bad).unwrap();
+        let mut header = [0u8; frame::HEADER_LEN];
+        raw.read_exact(&mut header).expect("bad-frame reply");
+    }
+    {
+        let mut raw = TcpStream::connect(addr).unwrap();
+        let req = frame::encode_request(frame::ReqKind::Classify, Priority::High, 0, &image());
+        raw.write_all(&req).unwrap();
+    }
+    std::thread::sleep(Duration::from_millis(400));
+    send_sigint(&child);
+    let status = wait_with_deadline(child, Duration::from_secs(20));
+    assert_eq!(
+        status.code(),
+        Some(StatusCode::Ok.exit_code()),
+        "{status:?}"
+    );
+    let summary = read_summary(&mut reader);
+
+    let bytes = mupod_runtime::read_verified(&metrics).expect("sealed metrics verify");
+    let doc = mupod_obs::json::parse(std::str::from_utf8(&bytes).unwrap()).expect("JSON");
+    let doc = doc.as_object().unwrap();
+    let counters = doc["counters"].as_object().unwrap();
+    let counter = |key: &str| counters.get(key).map_or(0.0, |v| v.as_f64().unwrap());
+    for (key, label) in [
+        ("serve.requests_ok", "ok"),
+        ("serve.rejected_busy", "busy"),
+        ("serve.deadline_expired", "deadline-expired"),
+        ("serve.rejected_draining", "draining"),
+        ("serve.bad_frames", "bad"),
+        ("serve.worker_crashes", "crashes"),
+        ("serve.client_disconnects", "disconnects"),
+        ("serve.batches", "batches"),
+        ("serve.batched_requests", "requests"),
+    ] {
+        assert_eq!(
+            counter(key),
+            summary_count(&summary, label),
+            "{key} vs summary: {summary}"
+        );
+    }
+    assert!(summary_count(&summary, "ok") >= 3.0, "{summary}");
+    assert_eq!(
+        summary_count(&summary, "deadline-expired"),
+        1.0,
+        "{summary}"
+    );
+    assert_eq!(summary_count(&summary, "crashes"), 1.0, "{summary}");
+    assert_eq!(summary_count(&summary, "bad"), 1.0, "{summary}");
+    // One latency sample per served request.
+    let latency = doc["histograms"].as_object().unwrap()["serve.latency_us"]
+        .as_object()
+        .unwrap();
+    assert_eq!(
+        latency["count"].as_f64(),
+        Some(summary_count(&summary, "ok"))
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

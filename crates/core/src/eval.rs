@@ -46,7 +46,7 @@ fn predict_all<S: Send>(
             let cursor = &cursor;
             let make_state = &make_state;
             let predict = &predict;
-            handles.push(scope.spawn(move || {
+            handles.push(scope.spawn(mupod_obs::inherit(move || {
                 let mut state = make_state();
                 let mut local = Vec::new();
                 loop {
@@ -57,7 +57,7 @@ fn predict_all<S: Send>(
                     local.push((i, predict(&mut state, i, img)));
                 }
                 local
-            }));
+            })));
         }
         handles
             .into_iter()

@@ -571,7 +571,7 @@ impl<'a> Profiler<'a> {
                 for _ in 0..threads {
                     let next_job = &next_job;
                     let finish = &finish;
-                    handles.push(scope.spawn(move || {
+                    handles.push(scope.spawn(mupod_obs::inherit(move || {
                         let mut arena =
                             ExecArena::for_network_tier(self.net, self.config.kernel_tier);
                         let mut local = Vec::new();
@@ -583,7 +583,7 @@ impl<'a> Profiler<'a> {
                             local.push(finish(li, layer, &mut arena).map(|p| (li, p)));
                         }
                         local
-                    }));
+                    })));
                 }
                 let mut collected = Vec::new();
                 for h in handles {

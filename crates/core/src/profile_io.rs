@@ -638,7 +638,7 @@ impl<'a> Profiler<'a> {
                 for _ in 0..threads {
                     let tx = tx.clone();
                     let next_job = &next_job;
-                    scope.spawn(move || {
+                    scope.spawn(mupod_obs::inherit(move || {
                         let mut arena = mupod_nn::ExecArena::for_network(self.net);
                         loop {
                             let pos = next_job.fetch_add(1, Ordering::Relaxed);
@@ -653,7 +653,7 @@ impl<'a> Profiler<'a> {
                                 break;
                             }
                         }
-                    });
+                    }));
                 }
                 drop(tx);
 

@@ -1,10 +1,9 @@
 //! Observability integration: Chrome trace structure, counter
 //! determinism, journal metrics, and the progress callback.
 //!
-//! Every scenario that installs a global recorder lives inside the one
-//! sequential test function — `mupod_obs` has a single process-wide
-//! dispatcher, so parallel test threads would otherwise see each
-//! other's counter traffic.
+//! The tests run in parallel: a `mupod_obs` recorder is current only on
+//! the thread that installed it and on the profiler workers that
+//! inherit it, so each test's recorder sees only its own run.
 
 use std::sync::Mutex;
 
@@ -83,7 +82,7 @@ fn trace_spans_balanced(events: &[TraceEvent]) {
 }
 
 #[test]
-fn observability_scenarios() {
+fn trace_nests_and_counters_are_deterministic_at_any_thread_count() {
     // --- Chrome trace: valid JSON, balanced, nesting matches the model.
     let (snap, events) = profile_under_recorder(0x0b5, 1);
     trace_spans_balanced(&events);
@@ -146,9 +145,12 @@ fn observability_scenarios() {
     assert_eq!(snap.histograms, snap4.histograms);
     assert_eq!(events.len(), events4.len());
     trace_spans_balanced(&events4);
+}
 
-    // --- Journal counters: fresh run appends every record; a resumed
-    // run replays them all from disk and appends none.
+/// A fresh journaled run appends every record; a resumed run replays
+/// them all from disk and appends none.
+#[test]
+fn journal_counters_track_appends_and_resumes() {
     let (net, data) = setup(0x0b6);
     let layers = ModelKind::AlexNet.analyzable_layers(&net);
     let dir = std::env::temp_dir().join(format!("mupod_obs_trace_{}", std::process::id()));
@@ -181,8 +183,12 @@ fn observability_scenarios() {
     assert_eq!(resumed.counters["journal.layers_resumed"], 5);
     assert!(!resumed.counters.contains_key("journal.records_appended"));
     std::fs::remove_dir_all(&dir).ok();
+}
 
-    // --- Progress callback: monotone (done, total) per completed layer.
+/// The progress callback reports a monotone (done, total) per completed
+/// layer.
+#[test]
+fn progress_callback_reports_each_layer() {
     let (net, data) = setup(0x0b7);
     let layers = ModelKind::AlexNet.analyzable_layers(&net);
     let seen: Mutex<Vec<(usize, usize, String)>> = Mutex::new(Vec::new());

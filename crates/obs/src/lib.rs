@@ -13,10 +13,21 @@
 //!
 //! Modeled on the `tracing` facade and vendored like the workspace's
 //! `proptest`/`criterion` stand-ins: the instrumented crates call the
-//! free functions below unconditionally; when no [`Recorder`] is
-//! installed every call is a single relaxed atomic load, so the hot
-//! paths (per-layer forward execution, noise-injection sweeps) pay
-//! nothing in ordinary library use.
+//! free functions below unconditionally; when the calling thread has no
+//! [`Recorder`] every call is one thread-local read, so the hot paths
+//! (per-layer forward execution, noise-injection sweeps) pay nothing in
+//! ordinary library use.
+//!
+//! # Scope
+//!
+//! A recorder is scoped to a run, not to the process.
+//! [`Recorder::install`] makes it current on the calling thread until
+//! the guard drops (guards nest: the previous recorder comes back).
+//! Spawned threads start with no recorder; a spawn site that runs
+//! instrumented work wraps its closure in [`inherit`], which carries
+//! the spawner's recorder over. Two runs in one process — two tests,
+//! say — therefore never see each other's counters, even when both are
+//! live at once.
 //!
 //! # Determinism contract
 //!
@@ -52,8 +63,8 @@ mod trace;
 pub use expo::Exposition;
 pub use flight::{FlightEvent, FlightRecorder, FlightStage, FLIGHT_SCHEMA};
 pub use recorder::{
-    counter_add, event, histogram_record, level_enabled, span, span_fields, InstallGuard, Recorder,
-    SpanGuard,
+    counter_add, event, histogram_record, inherit, level_enabled, span, span_fields, InstallGuard,
+    Recorder, SpanGuard,
 };
 pub use rolling::{Gauge, RollingHistogram, RollingSummary};
 pub use snapshot::{HistogramSummary, MetricsSnapshot, SpanSummary};

@@ -1,30 +1,19 @@
 //! The [`Recorder`]: collects spans, counters, histograms and events,
-//! plus the global facade the instrumented crates talk to.
+//! plus the thread-scoped facade the instrumented crates talk to.
 
 use crate::snapshot::{HistogramSummary, MetricsSnapshot, SpanSummary};
 use crate::trace::{Phase, TraceEvent};
 use crate::Level;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------
-// Global facade
+// Thread-scoped facade
 // ---------------------------------------------------------------------
-
-/// Fast-path gate: `false` means every facade call returns after one
-/// relaxed load.
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-
-/// The installed recorder, if any.
-static CURRENT: RwLock<Option<Recorder>> = RwLock::new(None);
-
-/// Serializes installations: only one recorder can be live at a time,
-/// and a second installer blocks until the first guard drops. This is
-/// what lets concurrently running tests each observe only their own
-/// work.
-static INSTALL_LOCK: Mutex<()> = Mutex::new(());
 
 /// Monotonic process-wide thread-id source for trace events (OS thread
 /// ids are neither small nor stable across platforms).
@@ -32,6 +21,8 @@ static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
     static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
+    /// The recorder this thread's probes record into, if any.
+    static THREAD_RECORDER: RefCell<Option<Recorder>> = const { RefCell::new(None) };
 }
 
 fn current_tid() -> u64 {
@@ -39,35 +30,61 @@ fn current_tid() -> u64 {
 }
 
 fn with_recorder<F: FnOnce(&Recorder)>(f: F) {
-    // ordering: ACTIVE is a fast-path hint only; the CURRENT read lock
-    // below is the real synchronization. A stale read merely skips (or
-    // double-checks) one event around install/uninstall.
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return;
-    }
-    let guard = CURRENT.read().unwrap_or_else(|e| e.into_inner());
-    if let Some(r) = guard.as_ref() {
-        f(r);
-    }
+    // `try_with`: a probe that runs while this thread's locals are being
+    // torn down (a guard dropped by another thread-local's destructor)
+    // records nothing rather than panicking.
+    let _ = THREAD_RECORDER.try_with(|cell| {
+        if let Some(r) = cell.borrow().as_ref() {
+            f(r);
+        }
+    });
 }
 
-/// Keeps the paired [`Recorder`] installed; uninstalls on drop.
+/// Keeps the paired [`Recorder`] current on the installing thread;
+/// restores the thread's previous recorder (or none) on drop.
 ///
-/// Holds the global installation lock, so a second `install` anywhere
-/// in the process blocks until this guard drops. Do not call `install`
-/// again from the same thread while a guard is live — that deadlocks
-/// (by design: nested recorders would silently split the data).
+/// Guards nest: installing inside another guard's scope records into
+/// the inner recorder until its guard drops, then into the outer one
+/// again. The guard is tied to the thread that installed it.
 #[derive(Debug)]
 pub struct InstallGuard {
-    _lock: MutexGuard<'static, ()>,
+    prev: Option<Recorder>,
+    _thread_bound: PhantomData<*const ()>,
 }
 
 impl Drop for InstallGuard {
     fn drop(&mut self) {
-        // ordering: hint flag; the CURRENT write lock below is what
-        // actually fences recording off.
-        ACTIVE.store(false, Ordering::Relaxed);
-        *CURRENT.write().unwrap_or_else(|e| e.into_inner()) = None;
+        let prev = self.prev.take();
+        let _ = THREAD_RECORDER.try_with(|cell| *cell.borrow_mut() = prev);
+    }
+}
+
+/// Wraps a closure so that it runs under the calling thread's current
+/// recorder, wherever it is called — the way to hand instrumented work
+/// to `std::thread::spawn` or `Scope::spawn`. A spawned thread starts
+/// with no recorder, so work spawned without this wrapper records
+/// nothing.
+///
+/// ```
+/// let recorder = mupod_obs::Recorder::new(mupod_obs::Level::Off).quiet();
+/// let guard = recorder.install();
+/// std::thread::spawn(mupod_obs::inherit(|| mupod_obs::counter_add("work", 1)))
+///     .join()
+///     .unwrap();
+/// drop(guard);
+/// assert_eq!(recorder.snapshot().counters["work"], 1);
+/// ```
+pub fn inherit<F, R>(f: F) -> impl FnOnce() -> R
+where
+    F: FnOnce() -> R,
+{
+    let recorder = THREAD_RECORDER
+        .try_with(|cell| cell.borrow().clone())
+        .ok()
+        .flatten();
+    move || {
+        let _guard = recorder.as_ref().map(Recorder::install);
+        f()
     }
 }
 
@@ -114,8 +131,9 @@ pub fn level_enabled(level: Level) -> bool {
 
 /// Emits a structured log event: a name plus key/value fields.
 ///
-/// When a recorder is installed and `level` is within its maximum, the
-/// event is appended to the trace (as a Chrome *instant* event) and —
+/// When the calling thread has a recorder (see [`Recorder::install`]
+/// and [`inherit`]) and `level` is within its maximum, the event is
+/// appended to the trace (as a Chrome *instant* event) and —
 /// unless the recorder is [`Recorder::quiet`] — printed to stderr as
 /// one `[level] name key=value …` line. Without a recorder the event is
 /// dropped, like `tracing` without a subscriber.
@@ -171,8 +189,8 @@ struct Inner {
     trace: Mutex<Vec<TraceEvent>>,
 }
 
-/// Collects instrumentation from everything that runs while it is
-/// installed.
+/// Collects instrumentation from the threads it is current on: the
+/// thread that installed it and the threads that [`inherit`] it.
 ///
 /// Clone-cheap handle (internally `Arc`): keep one clone to read the
 /// [`Recorder::snapshot`] / [`Recorder::trace_events`] after the
@@ -222,16 +240,16 @@ impl Recorder {
         self.inner.level
     }
 
-    /// Installs this recorder as the process-global collector.
-    ///
-    /// Blocks until any previously installed recorder's guard drops;
-    /// see [`InstallGuard`] for the reentrancy caveat.
+    /// Makes this recorder the calling thread's current collector until
+    /// the returned guard drops. Other threads are unaffected: each has
+    /// its own current recorder, and spawned threads start with none
+    /// unless their closure is wrapped in [`inherit`].
     pub fn install(&self) -> InstallGuard {
-        let lock = INSTALL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        *CURRENT.write().unwrap_or_else(|e| e.into_inner()) = Some(self.clone());
-        // ordering: hint flag; the CURRENT write above synchronizes.
-        ACTIVE.store(true, Ordering::Relaxed);
-        InstallGuard { _lock: lock }
+        let prev = THREAD_RECORDER.with(|cell| cell.replace(Some(self.clone())));
+        InstallGuard {
+            prev,
+            _thread_bound: PhantomData,
+        }
     }
 
     fn now_us(&self) -> f64 {
@@ -417,21 +435,21 @@ impl Recorder {
 mod tests {
     use super::*;
 
-    /// Every scenario touching the process-global recorder lives in this
-    /// one test: cargo runs tests in parallel threads, and interleaved
-    /// install/uninstall from sibling tests would make any individual
-    /// global-state assertion racy. (Other crates' obs tests run in
-    /// separate test processes and are unaffected.)
+    // The test harness runs each test on its own thread, and a recorder
+    // is current only on the thread that installed it (and the threads
+    // that inherit it), so these tests cannot see each other's traffic.
+
     #[test]
-    fn global_facade_scenarios() {
-        // --- inert without a recorder ----------------------------------
+    fn facade_is_inert_without_a_recorder() {
         counter_add("inert.counter", 5);
         histogram_record("inert.hist", 1.0);
         event(Level::Error, "inert.event", &[]);
         drop(span("inert.span"));
         assert!(!level_enabled(Level::Error));
+    }
 
-        // --- records counters / histograms / spans / events ------------
+    #[test]
+    fn records_counters_histograms_spans_and_events() {
         let rec = Recorder::new(Level::Info).quiet();
         {
             let _g = rec.install();
@@ -463,11 +481,13 @@ mod tests {
         assert_eq!(trace.iter().filter(|e| e.phase == Phase::Begin).count(), 2);
         assert_eq!(trace.iter().filter(|e| e.phase == Phase::End).count(), 2);
 
-        // --- uninstall stops recording ---------------------------------
+        // Dropping the guard stops recording.
         counter_add("c.a", 100);
         assert_eq!(rec.snapshot().counters["c.a"], 5);
+    }
 
-        // --- counter increments saturate instead of wrapping -----------
+    #[test]
+    fn counter_increments_saturate_instead_of_wrapping() {
         let sat_rec = Recorder::new(Level::Off).quiet();
         {
             let _g = sat_rec.install();
@@ -476,8 +496,10 @@ mod tests {
             counter_add("c.sat", 1); // stays pinned
         }
         assert_eq!(sat_rec.snapshot().counters["c.sat"], u64::MAX);
+    }
 
-        // --- level gating ----------------------------------------------
+    #[test]
+    fn events_are_gated_by_the_recorder_level() {
         let warn_rec = Recorder::new(Level::Warn).quiet();
         {
             let _g = warn_rec.install();
@@ -490,8 +512,10 @@ mod tests {
         let trace = warn_rec.trace_events();
         assert_eq!(trace.len(), 1);
         assert_eq!(trace[0].name, "ev.loud");
+    }
 
-        // --- a pre-install span never emits an unmatched End -----------
+    #[test]
+    fn a_pre_install_span_never_emits_an_unmatched_end() {
         let pre = span("orphan");
         let off_rec = Recorder::new(Level::Off).quiet();
         {
@@ -499,21 +523,124 @@ mod tests {
             drop(pre);
         }
         assert!(off_rec.trace_events().is_empty());
+    }
 
-        // --- worker threads get distinct trace tids --------------------
+    #[test]
+    fn inheriting_threads_get_distinct_trace_tids() {
         let tid_rec = Recorder::new(Level::Off).quiet();
         {
             let _g = tid_rec.install();
             let _outer = span("main-side");
             std::thread::scope(|s| {
-                s.spawn(|| {
+                s.spawn(inherit(|| {
                     let _w = span("worker-side");
-                });
+                }));
             });
         }
         let trace = tid_rec.trace_events();
         let tid_of = |name: &str| trace.iter().find(|e| e.name == name).map(|e| e.tid);
         assert_ne!(tid_of("main-side").unwrap(), tid_of("worker-side").unwrap());
+    }
+
+    /// Regression: a thread without a recorder must not record into
+    /// another thread's recorder while that one's guard is live.
+    #[test]
+    fn a_thread_without_a_recorder_does_not_leak_into_a_live_one() {
+        let rec = Recorder::new(Level::Info).quiet();
+        {
+            let _g = rec.install();
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    counter_add("c.stray", 1);
+                    event(Level::Error, "ev.stray", &[]);
+                    drop(span("stray"));
+                });
+            });
+            counter_add("c.own", 1);
+        }
+        let snap = rec.snapshot();
+        assert_eq!(snap.counters.keys().collect::<Vec<_>>(), ["c.own"]);
+        assert!(snap.spans.is_empty());
+        assert!(rec.trace_events().is_empty());
+    }
+
+    #[test]
+    fn inherit_carries_the_recorder_into_a_spawned_thread() {
+        let rec = Recorder::new(Level::Info).quiet();
+        {
+            let _g = rec.install();
+            let handle = std::thread::spawn(inherit(|| {
+                counter_add("c.spawned", 2);
+                drop(span("spawned"));
+                7
+            }));
+            assert_eq!(handle.join().unwrap(), 7);
+        }
+        let snap = rec.snapshot();
+        assert_eq!(snap.counters["c.spawned"], 2);
+        assert_eq!(snap.spans["spawned"].count, 1);
+        // The spawned thread's guard dropped with its closure: this
+        // thread's own guard is gone too, so nothing records any more.
+        counter_add("c.spawned", 5);
+        assert_eq!(rec.snapshot().counters["c.spawned"], 2);
+    }
+
+    #[test]
+    fn inherit_without_a_recorder_records_nothing() {
+        let rec = Recorder::new(Level::Info).quiet();
+        let work = inherit(|| counter_add("c.none", 1));
+        {
+            let _g = rec.install();
+            std::thread::spawn(work).join().unwrap();
+        }
+        assert!(rec.snapshot().counters.is_empty());
+    }
+
+    #[test]
+    fn a_nested_install_restores_the_outer_recorder() {
+        let outer = Recorder::new(Level::Off).quiet();
+        let inner = Recorder::new(Level::Off).quiet();
+        {
+            let _o = outer.install();
+            counter_add("c.before", 1);
+            {
+                let _i = inner.install();
+                counter_add("c.inner", 1);
+            }
+            counter_add("c.after", 1);
+        }
+        counter_add("c.none", 1);
+        let keys = |r: &Recorder| r.snapshot().counters.into_keys().collect::<Vec<_>>();
+        assert_eq!(keys(&outer), ["c.after", "c.before"]);
+        assert_eq!(keys(&inner), ["c.inner"]);
+    }
+
+    #[test]
+    fn two_threads_recorders_stay_isolated() {
+        let barrier = std::sync::Barrier::new(2);
+        let run = |name: &'static str, n: u64| {
+            let rec = Recorder::new(Level::Off).quiet();
+            let _g = rec.install();
+            // Both guards are live from here until both threads have
+            // counted.
+            barrier.wait();
+            counter_add(name, n);
+            barrier.wait();
+            rec
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| run("c.a", 1));
+            let b = s.spawn(|| run("c.b", 2));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(
+            a.snapshot().counters.into_iter().collect::<Vec<_>>(),
+            [("c.a".to_string(), 1)]
+        );
+        assert_eq!(
+            b.snapshot().counters.into_iter().collect::<Vec<_>>(),
+            [("c.b".to_string(), 2)]
+        );
     }
 
     /// Regression: span totals saturate rather than wrap on a

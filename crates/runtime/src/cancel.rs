@@ -176,6 +176,10 @@ extern "C" fn sigint_handler(_sig: std::os::raw::c_int) {
 /// SIGINT bypasses the graceful drain and exits with status 130
 /// immediately.
 ///
+/// The watcher inherits the caller's `mupod_obs` recorder, so call this
+/// inside the run's recorder scope for the interrupt's
+/// `runtime.cancellations` count and event to reach the run's metrics.
+///
 /// On non-unix platforms this is a no-op.
 pub fn install_sigint(token: &CancelToken) {
     #[cfg(unix)]
@@ -190,7 +194,7 @@ pub fn install_sigint(token: &CancelToken) {
         }
         let spawned = std::thread::Builder::new()
             .name("mupod-sigint-watcher".into())
-            .spawn(move || loop {
+            .spawn(mupod_obs::inherit(move || loop {
                 if SIGINT_PENDING.load(Ordering::SeqCst) {
                     token.cancel(CancelReason::Interrupt);
                     mupod_obs::event(
@@ -201,7 +205,7 @@ pub fn install_sigint(token: &CancelToken) {
                     return;
                 }
                 std::thread::sleep(std::time::Duration::from_millis(5));
-            });
+            }));
         // Without the watcher a first Ctrl-C cannot drain gracefully
         // (the second still hard-exits via the handler); degrade loudly
         // rather than panic during startup.

@@ -138,7 +138,7 @@ impl WatchdogGuard {
         let stage_name = stage.to_string();
         let spawned = std::thread::Builder::new()
             .name(format!("mupod-watchdog-{stage_name}"))
-            .spawn(move || {
+            .spawn(mupod_obs::inherit(move || {
                 let mut done = lock_unpoisoned(&thread_shared.done);
                 let mut remaining = deadline;
                 loop {
@@ -172,7 +172,7 @@ impl WatchdogGuard {
                     ],
                 );
                 token.cancel(CancelReason::Timeout);
-            });
+            }));
         // A failed spawn (thread exhaustion) must not kill the pipeline:
         // the stage simply runs without deadline enforcement, loudly.
         let handle = match spawned {

@@ -51,7 +51,7 @@ pub(crate) fn run_admin(
     std::thread::scope(|s| {
         conn::accept_until(listener, stop, "serve.admin_accept_error", |stream| {
             mupod_obs::counter_add("serve.admin_requests", 1);
-            s.spawn(move || handle_admin(stream, respond));
+            s.spawn(mupod_obs::inherit(move || handle_admin(stream, respond)));
         });
     });
 }

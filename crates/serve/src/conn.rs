@@ -1,12 +1,17 @@
 //! Connection plumbing shared by the serving node, the router front and
 //! the admin plane: nonblocking listeners, the polling accept loop, the
-//! per-connection frame loop and the deadline-bounded frame read.
+//! per-connection frame loop, the deadline-bounded frame read, and the
+//! response write and bad-frame reply that count what went wrong.
 
-use std::io::{ErrorKind, Read};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::AtomicU64;
 use std::time::{Duration, Instant};
 
-use crate::server::POLL;
+use mupod_runtime::StatusCode;
+
+use crate::frame::{self, FrameError};
+use crate::server::{bump, POLL};
 
 /// Socket write timeout on framed connections: a peer that stops reading
 /// cannot pin a handler.
@@ -52,14 +57,62 @@ pub(crate) fn accept_until(
     }
 }
 
+/// The tallies a framed listener's connections keep; both are report
+/// counters of the serving node and of the router.
+#[derive(Default)]
+pub(crate) struct ConnStats {
+    /// Malformed / truncated / oversized frames answered `BadRequest`.
+    pub(crate) bad_frames: AtomicU64,
+    /// Peers that vanished mid-request or mid-response.
+    pub(crate) client_disconnects: AtomicU64,
+}
+
+impl ConnStats {
+    /// Writes one whole response frame and flushes. `false` means the
+    /// peer vanished: that counts one client disconnect and logs the
+    /// warning `serve.client_disconnect`.
+    pub(crate) fn write_frame(&self, stream: &mut TcpStream, bytes: &[u8]) -> bool {
+        match stream.write_all(bytes).and_then(|()| stream.flush()) {
+            Ok(()) => true,
+            Err(e) => {
+                bump(&self.client_disconnects);
+                mupod_obs::event(
+                    mupod_obs::Level::Warn,
+                    "serve.client_disconnect",
+                    &[("during", "response write"), ("error", &e.to_string())],
+                );
+                false
+            }
+        }
+    }
+
+    /// Answers a frame error with an untraced `BadRequest`, counts it and
+    /// logs the warning `serve.bad_frame`. Always `false`: a malformed
+    /// binary stream cannot be re-synchronized, so the connection closes.
+    pub(crate) fn reject_bad_frame(&self, stream: &mut TcpStream, err: &FrameError) -> bool {
+        bump(&self.bad_frames);
+        let msg = err.to_string();
+        mupod_obs::event(
+            mupod_obs::Level::Warn,
+            "serve.bad_frame",
+            &[("error", &msg)],
+        );
+        self.write_frame(
+            stream,
+            &frame::encode_response_traced(StatusCode::BadRequest, None, msg.as_bytes()),
+        );
+        false
+    }
+}
+
 /// Per-connection loop of a framed listener: polls for each frame's
 /// first byte and hands it to `serve_one`, until the peer leaves,
 /// `serve_one` returns `false` or `draining` turns true. A read failure
-/// other than a timeout calls `on_disconnect` once.
+/// other than a timeout counts one client disconnect in `stats`.
 pub(crate) fn frame_loop(
     mut stream: TcpStream,
     draining: impl Fn() -> bool,
-    on_disconnect: impl FnOnce(),
+    stats: &ConnStats,
     mut serve_one: impl FnMut(&mut TcpStream, u8) -> bool,
 ) {
     let _ = stream.set_nodelay(true);
@@ -78,7 +131,7 @@ pub(crate) fn frame_loop(
             }
             Err(e) if is_timeout(&e) => {}
             Err(_) => {
-                on_disconnect();
+                bump(&stats.client_disconnects);
                 break;
             }
         }

@@ -16,7 +16,7 @@ use std::time::Duration;
 use crate::client::Connection;
 use crate::router::breaker::Transition;
 use crate::router::RouterShared;
-use crate::server::POLL;
+use crate::server::{bump, POLL};
 
 /// Per-ping connect/read budget; kept short so one dead shard cannot
 /// stretch the tick far past the configured interval.
@@ -50,7 +50,7 @@ fn check_shard(shared: &RouterShared, idx: usize) {
         Ok(state) => {
             shard.set_state(state.wire());
             if shard.breaker.on_success() == Transition::Closed {
-                shared.stats.note_breaker_closed();
+                bump(&shared.stats.breaker_closes);
                 mupod_obs::event(
                     mupod_obs::Level::Info,
                     "route.breaker_closed",
@@ -63,7 +63,7 @@ fn check_shard(shared: &RouterShared, idx: usize) {
             // Dead shard: its pooled connections are dead too.
             shard.pool.clear();
             if shard.breaker.on_failure() == Transition::Opened {
-                shared.stats.note_breaker_opened();
+                bump(&shared.stats.breaker_opens);
                 mupod_obs::event(
                     mupod_obs::Level::Warn,
                     "route.breaker_opened",

@@ -40,16 +40,17 @@ use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mupod_obs::{Exposition, FlightRecorder, FlightStage, Gauge, RollingHistogram};
+use mupod_obs::{Exposition, FlightStage};
 use mupod_runtime::{CancelToken, StatusCode};
 
 use crate::admin;
-use crate::conn::{self, read_remaining};
+use crate::conn::{self, read_remaining, ConnStats};
 use crate::frame::{self, FrameError, ReqKind, ShardState, HEADER_LEN, TRACE_ID_LEN};
-use crate::server::{percentiles_us, Bound};
+use crate::server::{bump, percentiles_us, Bound};
+use crate::telemetry::Telemetry;
 
 pub use breaker::BreakerState;
 pub use reload::{reload_shard, ReloadError};
@@ -64,11 +65,6 @@ const RELAY_GRACE: Duration = Duration::from_secs(2);
 /// Once a frame's first byte arrives, the rest must follow within this
 /// window (mirrors the shard's frame read timeout).
 const FRAME_READ_TIMEOUT: Duration = Duration::from_secs(2);
-/// Flight-recorder ring size.
-const FLIGHT_CAPACITY: usize = 4096;
-/// Rolling-window shape for routed-latency quantiles.
-const WINDOW: Duration = Duration::from_secs(60);
-const WINDOW_SLOTS: usize = 12;
 /// Shard-state byte meaning "last ping could not reach the shard".
 const STATE_UNREACHABLE: u8 = 0xFF;
 
@@ -197,20 +193,9 @@ pub(crate) struct RouteStats {
     retries: AtomicU64,
     hedges: AtomicU64,
     hedge_wins: AtomicU64,
-    bad_frames: AtomicU64,
-    client_disconnects: AtomicU64,
+    conn: ConnStats,
     breaker_opens: AtomicU64,
     breaker_closes: AtomicU64,
-}
-
-impl RouteStats {
-    pub(crate) fn note_breaker_opened(&self) {
-        self.breaker_opens.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_breaker_closed(&self) {
-        self.breaker_closes.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 /// One backend shard as the router sees it.
@@ -262,14 +247,6 @@ impl Shard {
     }
 }
 
-/// Live instruments for the router's admin plane.
-pub(crate) struct RouterTelemetry {
-    start: Instant,
-    latency_us: RollingHistogram,
-    in_flight: Gauge,
-    pub(crate) flight: FlightRecorder,
-}
-
 /// State shared by the front listener, handlers, attempts, the health
 /// loop and the admin plane. Lives in an [`Arc`] because attempt
 /// threads are detached (a slow losing attempt must not block the
@@ -280,8 +257,7 @@ pub(crate) struct RouterShared {
     draining: AtomicBool,
     rr: AtomicUsize,
     pub(crate) stats: RouteStats,
-    latencies_us: Mutex<Vec<u64>>,
-    telemetry: RouterTelemetry,
+    telemetry: Telemetry,
 }
 
 impl RouterShared {
@@ -298,13 +274,7 @@ impl RouterShared {
             draining: AtomicBool::new(false),
             rr: AtomicUsize::new(0),
             stats: RouteStats::default(),
-            latencies_us: Mutex::new(Vec::new()),
-            telemetry: RouterTelemetry {
-                start: Instant::now(),
-                latency_us: RollingHistogram::new(WINDOW, WINDOW_SLOTS),
-                in_flight: Gauge::new(),
-                flight: FlightRecorder::new(FLIGHT_CAPACITY),
-            },
+            telemetry: Telemetry::new(),
         }
     }
 
@@ -378,15 +348,6 @@ impl RouterShared {
             ShardState::Ok
         }
     }
-
-    fn record_latency(&self, accepted: Instant) {
-        let us = accepted.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-        self.telemetry.latency_us.record(us);
-        self.latencies_us
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(us);
-    }
 }
 
 /// Runs the routing front until `token` cancels. `on_ready` fires once
@@ -428,9 +389,9 @@ pub fn route(
     });
     std::thread::scope(|s| {
         let sh = &shared;
-        s.spawn(move || health::health_loop(sh));
+        s.spawn(mupod_obs::inherit(move || health::health_loop(sh)));
         if let Some((metrics_listener, _)) = metrics {
-            s.spawn(move || {
+            s.spawn(mupod_obs::inherit(move || {
                 admin::run_admin(
                     &metrics_listener,
                     &|| sh.is_draining(),
@@ -452,16 +413,15 @@ pub fn route(
                         _ => None,
                     },
                 );
-            });
+            }));
         }
         conn::accept_until(
             &listener,
             || token.is_cancelled() || shared.is_draining(),
             "route.accept_error",
             |stream| {
-                mupod_obs::counter_add("route.connections", 1);
                 let sh = Arc::clone(&shared);
-                s.spawn(move || handle_client(stream, &sh));
+                s.spawn(mupod_obs::inherit(move || handle_client(stream, &sh)));
             },
         );
         shared.begin_drain();
@@ -479,12 +439,7 @@ pub fn route(
             );
         }
     }
-    let mut lat = shared
-        .latencies_us
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    let (p50, p99) = percentiles_us(&mut lat);
-    drop(lat);
+    let (p50, p99) = percentiles_us(&mut shared.telemetry.take_latencies());
     let st = &shared.stats;
     let report = RouteReport {
         requests: st.requests.load(Ordering::SeqCst),
@@ -496,8 +451,8 @@ pub fn route(
         retries: st.retries.load(Ordering::SeqCst),
         hedges: st.hedges.load(Ordering::SeqCst),
         hedge_wins: st.hedge_wins.load(Ordering::SeqCst),
-        bad_frames: st.bad_frames.load(Ordering::SeqCst),
-        client_disconnects: st.client_disconnects.load(Ordering::SeqCst),
+        bad_frames: st.conn.bad_frames.load(Ordering::SeqCst),
+        client_disconnects: st.conn.client_disconnects.load(Ordering::SeqCst),
         breaker_opens: st.breaker_opens.load(Ordering::SeqCst),
         breaker_closes: st.breaker_closes.load(Ordering::SeqCst),
         p50_latency_us: p50,
@@ -520,12 +475,7 @@ fn handle_client(stream: TcpStream, shared: &Arc<RouterShared>) {
     conn::frame_loop(
         stream,
         || shared.is_draining(),
-        || {
-            shared
-                .stats
-                .client_disconnects
-                .fetch_add(1, Ordering::Relaxed);
-        },
+        &shared.stats.conn,
         |stream, first| serve_front_one(stream, first, shared),
     );
 }
@@ -543,21 +493,7 @@ fn answer(
         .flight
         .record(trace_id, FlightStage::Reply, -1, status.wire());
     let bytes = frame::encode_response_traced(status, Some(trace_id), payload);
-    write_raw(stream, shared, &bytes)
-}
-
-/// Writes raw response bytes; `false` means the client vanished.
-fn write_raw(stream: &mut TcpStream, shared: &RouterShared, bytes: &[u8]) -> bool {
-    match stream.write_all(bytes).and_then(|()| stream.flush()) {
-        Ok(()) => true,
-        Err(_) => {
-            shared
-                .stats
-                .client_disconnects
-                .fetch_add(1, Ordering::Relaxed);
-            false
-        }
-    }
+    shared.stats.conn.write_frame(stream, &bytes)
 }
 
 /// Serves one client frame: parse enough to route, then relay.
@@ -567,11 +503,14 @@ fn serve_front_one(stream: &mut TcpStream, first: u8, shared: &Arc<RouterShared>
     let mut header = [0u8; HEADER_LEN];
     header[0] = first;
     if !read_remaining(stream, &mut header[1..], frame_deadline) {
-        return reject_bad_frame(stream, shared, &FrameError::Truncated);
+        return shared
+            .stats
+            .conn
+            .reject_bad_frame(stream, &FrameError::Truncated);
     }
     let h = match frame::parse_request_header(&header) {
         Ok(h) => h,
-        Err(e) => return reject_bad_frame(stream, shared, &e),
+        Err(e) => return shared.stats.conn.reject_bad_frame(stream, &e),
     };
     // Accumulate the raw frame exactly as received — forwarding reuses
     // these bytes untouched, which is what keeps trace IDs and deadline
@@ -580,7 +519,10 @@ fn serve_front_one(stream: &mut TcpStream, first: u8, shared: &Arc<RouterShared>
     let mut raw = vec![0u8; HEADER_LEN + ext_len + h.payload_len];
     raw[..HEADER_LEN].copy_from_slice(&header);
     if !read_remaining(stream, &mut raw[HEADER_LEN..], frame_deadline) {
-        return reject_bad_frame(stream, shared, &FrameError::Truncated);
+        return shared
+            .stats
+            .conn
+            .reject_bad_frame(stream, &FrameError::Truncated);
     }
     let trace_id = if h.has_trace_id {
         let ext: [u8; TRACE_ID_LEN] = raw[HEADER_LEN..HEADER_LEN + TRACE_ID_LEN]
@@ -621,7 +563,7 @@ fn serve_front_one(stream: &mut TcpStream, first: u8, shared: &Arc<RouterShared>
         );
         return false;
     }
-    shared.stats.requests.fetch_add(1, Ordering::Relaxed);
+    bump(&shared.stats.requests);
     shared
         .telemetry
         .flight
@@ -630,18 +572,6 @@ fn serve_front_one(stream: &mut TcpStream, first: u8, shared: &Arc<RouterShared>
     let keep = relay(stream, shared, h, trace_id, Arc::new(raw));
     shared.telemetry.in_flight.sub(1);
     keep
-}
-
-fn reject_bad_frame(stream: &mut TcpStream, shared: &RouterShared, err: &FrameError) -> bool {
-    shared.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
-    answer(
-        stream,
-        shared,
-        StatusCode::BadRequest,
-        0,
-        err.to_string().as_bytes(),
-    );
-    false
 }
 
 /// One relayed response: parsed status plus the raw bytes to echo.
@@ -706,10 +636,7 @@ fn relay(
     let mut hedge_idx: Option<usize> = None;
 
     let Some(primary) = shared.pick_shard(&used) else {
-        shared
-            .stats
-            .no_healthy_shard
-            .fetch_add(1, Ordering::Relaxed);
+        bump(&shared.stats.no_healthy_shard);
         return answer(
             stream,
             shared,
@@ -725,10 +652,7 @@ fn relay(
     loop {
         let now = Instant::now();
         if now >= final_deadline {
-            shared
-                .stats
-                .deadline_exceeded
-                .fetch_add(1, Ordering::Relaxed);
+            bump(&shared.stats.deadline_exceeded);
             return answer(
                 stream,
                 shared,
@@ -764,7 +688,7 @@ fn relay(
                     }
                     if let Some(next) = shared.pick_shard(&used) {
                         retries_used += 1;
-                        shared.stats.retries.fetch_add(1, Ordering::Relaxed);
+                        bump(&shared.stats.retries);
                         shared.telemetry.flight.record(
                             trace_id,
                             FlightStage::Forward,
@@ -778,13 +702,13 @@ fn relay(
                     }
                 }
                 if relayed.status == StatusCode::Ok {
-                    shared.stats.relayed_ok.fetch_add(1, Ordering::Relaxed);
-                    shared.record_latency(accepted);
+                    bump(&shared.stats.relayed_ok);
+                    shared.telemetry.record_latency(accepted);
                 } else {
-                    shared.stats.relayed_errors.fetch_add(1, Ordering::Relaxed);
+                    bump(&shared.stats.relayed_errors);
                 }
                 if hedge_idx == Some(idx) {
-                    shared.stats.hedge_wins.fetch_add(1, Ordering::Relaxed);
+                    bump(&shared.stats.hedge_wins);
                 }
                 shared.telemetry.flight.record(
                     trace_id,
@@ -792,7 +716,7 @@ fn relay(
                     idx as i64,
                     relayed.status.wire(),
                 );
-                return write_raw(stream, shared, &relayed.raw);
+                return shared.stats.conn.write_frame(stream, &relayed.raw);
             }
             Ok((idx, Err(e))) => {
                 outstanding = outstanding.saturating_sub(1);
@@ -800,7 +724,7 @@ fn relay(
                 shard.failures.fetch_add(1, Ordering::Relaxed);
                 shard.pool.clear();
                 if shard.breaker.on_failure() == breaker::Transition::Opened {
-                    shared.stats.note_breaker_opened();
+                    bump(&shared.stats.breaker_opens);
                     mupod_obs::event(
                         mupod_obs::Level::Warn,
                         "route.breaker_opened",
@@ -816,7 +740,7 @@ fn relay(
                 if can_retry {
                     if let Some(next) = shared.pick_shard(&used) {
                         retries_used += 1;
-                        shared.stats.retries.fetch_add(1, Ordering::Relaxed);
+                        bump(&shared.stats.retries);
                         shared.telemetry.flight.record(
                             trace_id,
                             FlightStage::Forward,
@@ -834,10 +758,7 @@ fn relay(
                     // decide the request.
                     continue;
                 }
-                shared
-                    .stats
-                    .no_healthy_shard
-                    .fetch_add(1, Ordering::Relaxed);
+                bump(&shared.stats.no_healthy_shard);
                 let msg = format!("all shard attempts failed: {e}");
                 return answer(
                     stream,
@@ -855,7 +776,7 @@ fn relay(
                             Some(next) => {
                                 hedged = true;
                                 hedge_idx = Some(next);
-                                shared.stats.hedges.fetch_add(1, Ordering::Relaxed);
+                                bump(&shared.stats.hedges);
                                 shared.telemetry.flight.record(
                                     trace_id,
                                     FlightStage::Hedge,
@@ -903,10 +824,7 @@ fn launch_attempt(
     tx: &mpsc::Sender<(usize, Result<Relayed, AttemptError>)>,
     trace_id: u64,
 ) {
-    shared
-        .stats
-        .forwarded_attempts
-        .fetch_add(1, Ordering::Relaxed);
+    bump(&shared.stats.forwarded_attempts);
     shared
         .telemetry
         .flight
@@ -914,10 +832,10 @@ fn launch_attempt(
     let shared = Arc::clone(shared);
     let raw_req = Arc::clone(raw_req);
     let tx = tx.clone();
-    std::thread::spawn(move || {
+    std::thread::spawn(mupod_obs::inherit(move || {
         let result = attempt(&shared, idx, &raw_req, final_deadline);
         let _ = tx.send((idx, result));
-    });
+    }));
 }
 
 /// One forwarding attempt over a pooled (or fresh) connection: write
@@ -1025,12 +943,12 @@ fn render_metrics(shared: &RouterShared) -> String {
         (
             "mupod_route_bad_frames_total",
             "Malformed client frames answered BadRequest.",
-            &st.bad_frames,
+            &st.conn.bad_frames,
         ),
         (
             "mupod_route_client_disconnects_total",
             "Clients that vanished mid-request or mid-response.",
-            &st.client_disconnects,
+            &st.conn.client_disconnects,
         ),
         (
             "mupod_route_breaker_opens_total",

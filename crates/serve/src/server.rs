@@ -17,7 +17,6 @@
 //! | 2     | queue ≥ ¾ capacity    | low-priority requests rejected `ServerBusy` at admission |
 //! | 3     | SIGINT / fatal error  | drain: stop accepting, finish in-flight, answer queued `Draining` |
 
-use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
@@ -30,7 +29,7 @@ use mupod_obs::FlightStage;
 use mupod_runtime::{CancelToken, StatusCode};
 
 use crate::admin;
-use crate::conn::{self, read_remaining};
+use crate::conn::{self, read_remaining, ConnStats};
 use crate::frame::{self, FrameError, Priority, ReqKind, ShardState, HEADER_LEN, TRACE_ID_LEN};
 use crate::queue::{BoundedQueue, PushError};
 use crate::telemetry::Telemetry;
@@ -201,9 +200,10 @@ pub(crate) struct Job {
     pub(crate) resp: mpsc::SyncSender<(StatusCode, Vec<u8>)>,
 }
 
-/// Saturating counters backing the [`ServeReport`]; kept as plain
-/// atomics (not only obs counters) so the report works even without an
-/// installed recorder.
+/// The counters backing the [`ServeReport`], `/metrics` and the
+/// `serve.*` counters of `--metrics-out`: each event is counted once,
+/// here, and [`run_reloadable`] copies the totals into the run's
+/// recorder at drain.
 #[derive(Default)]
 pub(crate) struct Stats {
     pub(crate) requests_ok: AtomicU64,
@@ -211,11 +211,87 @@ pub(crate) struct Stats {
     pub(crate) rejected_draining: AtomicU64,
     pub(crate) shed_low_priority: AtomicU64,
     pub(crate) deadline_expired: AtomicU64,
-    pub(crate) bad_frames: AtomicU64,
+    pub(crate) conn: ConnStats,
     pub(crate) worker_crashes: AtomicU64,
-    pub(crate) client_disconnects: AtomicU64,
     pub(crate) batches: AtomicU64,
     pub(crate) batched_requests: AtomicU64,
+}
+
+/// Counts one event in a report counter.
+pub(crate) fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
+/// One report counter: recorder key, Prometheus family, help text.
+type CounterRow<'a> = (&'static str, &'static str, &'static str, &'a AtomicU64);
+
+impl Stats {
+    /// Every counter with its names: the one table the drain export and
+    /// the `/metrics` renderer both read.
+    pub(crate) fn table(&self) -> [CounterRow<'_>; 10] {
+        [
+            (
+                "serve.requests_ok",
+                "mupod_requests_ok_total",
+                "Requests answered Ok with a class.",
+                &self.requests_ok,
+            ),
+            (
+                "serve.rejected_busy",
+                "mupod_rejected_busy_total",
+                "Fast-rejected at admission (queue full or shed).",
+                &self.rejected_busy,
+            ),
+            (
+                "serve.rejected_draining",
+                "mupod_rejected_draining_total",
+                "Answered Draining at admission or dequeue.",
+                &self.rejected_draining,
+            ),
+            (
+                "serve.shed_low_priority",
+                "mupod_shed_low_priority_total",
+                "Low-priority requests shed by ladder level 2.",
+                &self.shed_low_priority,
+            ),
+            (
+                "serve.deadline_expired",
+                "mupod_deadline_expired_total",
+                "Requests whose deadline expired before or during service.",
+                &self.deadline_expired,
+            ),
+            (
+                "serve.bad_frames",
+                "mupod_bad_frames_total",
+                "Malformed frames answered BadRequest.",
+                &self.conn.bad_frames,
+            ),
+            (
+                "serve.worker_crashes",
+                "mupod_worker_crashes_total",
+                "Worker panics caught and isolated.",
+                &self.worker_crashes,
+            ),
+            (
+                "serve.client_disconnects",
+                "mupod_client_disconnects_total",
+                "Peers that vanished mid-request or mid-response.",
+                &self.conn.client_disconnects,
+            ),
+            (
+                "serve.batches",
+                "mupod_batches_total",
+                "Batched forward passes executed.",
+                &self.batches,
+            ),
+            (
+                "serve.batched_requests",
+                "mupod_batched_requests_total",
+                "Requests served through those batches.",
+                &self.batched_requests,
+            ),
+        ]
+    }
 }
 
 /// Rebuilds a freshly calibrated [`Network`] from a reload seed; the
@@ -246,8 +322,6 @@ pub(crate) struct Shared {
     pub(crate) crashes: AtomicU32,
     /// First terminal error wins; returned from [`run`].
     pub(crate) fatal: Mutex<Option<ServeError>>,
-    /// OK-request latencies in microseconds (percentiles at drain).
-    pub(crate) latencies_us: Mutex<Vec<u64>>,
     pub(crate) stats: Stats,
     /// Live instruments for the scrape endpoint and flight recorder.
     pub(crate) telemetry: Telemetry,
@@ -265,7 +339,6 @@ impl Shared {
             degrade: AtomicU8::new(0),
             crashes: AtomicU32::new(0),
             fatal: Mutex::new(None),
-            latencies_us: Mutex::new(Vec::new()),
             stats: Stats::default(),
             telemetry: Telemetry::new(),
         }
@@ -307,16 +380,6 @@ impl Shared {
             );
         }
         self.queue.close();
-    }
-
-    pub(crate) fn record_latency(&self, accepted: Instant) {
-        let us = accepted.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-        mupod_obs::histogram_record("serve.latency_us", us as f64);
-        self.telemetry.latency_us.record(us);
-        self.latencies_us
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(us);
     }
 }
 
@@ -405,10 +468,14 @@ pub fn run_reloadable(
     std::thread::scope(|s| {
         let shared = &shared;
         for idx in 0..cfg.workers.max(1) {
-            s.spawn(move || worker::worker_loop(idx, cfg, shared));
+            s.spawn(mupod_obs::inherit(move || {
+                worker::worker_loop(idx, cfg, shared)
+            }));
         }
         if let Some((metrics_listener, _)) = metrics {
-            s.spawn(move || admin::admin_loop(&metrics_listener, cfg, shared));
+            s.spawn(mupod_obs::inherit(move || {
+                admin::admin_loop(&metrics_listener, cfg, shared)
+            }));
         }
         conn::accept_until(
             &listener,
@@ -416,7 +483,9 @@ pub fn run_reloadable(
             "serve.accept_error",
             |stream| {
                 mupod_obs::counter_add("serve.connections", 1);
-                s.spawn(move || handle_conn(stream, cfg, shared, reloader));
+                s.spawn(mupod_obs::inherit(move || {
+                    handle_conn(stream, cfg, shared, reloader)
+                }));
             },
         );
         shared.begin_drain();
@@ -424,22 +493,29 @@ pub fn run_reloadable(
         // workers exit when the closed queue runs dry, handlers when
         // their bounded reads/waits observe the drain flag.
     });
-    let mut lat = shared
-        .latencies_us
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
+    let mut lat = shared.telemetry.take_latencies();
     let (p50, p99) = percentiles_us(&mut lat);
-    drop(lat);
+    // Drain-time export: the run's recorder gets each event count once,
+    // from the same counters the report and `/metrics` read.
     let st = &shared.stats;
+    for (key, _, _, counter) in st.table() {
+        let n = counter.load(Ordering::SeqCst);
+        if n > 0 {
+            mupod_obs::counter_add(key, n);
+        }
+    }
+    for &us in &lat {
+        mupod_obs::histogram_record("serve.latency_us", us as f64);
+    }
     let report = ServeReport {
         requests_ok: st.requests_ok.load(Ordering::SeqCst),
         rejected_busy: st.rejected_busy.load(Ordering::SeqCst),
         rejected_draining: st.rejected_draining.load(Ordering::SeqCst),
         shed_low_priority: st.shed_low_priority.load(Ordering::SeqCst),
         deadline_expired: st.deadline_expired.load(Ordering::SeqCst),
-        bad_frames: st.bad_frames.load(Ordering::SeqCst),
+        bad_frames: st.conn.bad_frames.load(Ordering::SeqCst),
         worker_crashes: st.worker_crashes.load(Ordering::SeqCst),
-        client_disconnects: st.client_disconnects.load(Ordering::SeqCst),
+        client_disconnects: st.conn.client_disconnects.load(Ordering::SeqCst),
         batches: st.batches.load(Ordering::SeqCst),
         batched_requests: st.batched_requests.load(Ordering::SeqCst),
         p50_latency_us: p50,
@@ -489,13 +565,7 @@ fn handle_conn(stream: TcpStream, cfg: &ServeConfig, shared: &Shared, reloader: 
     conn::frame_loop(
         stream,
         || shared.is_draining(),
-        || {
-            shared
-                .stats
-                .client_disconnects
-                .fetch_add(1, Ordering::Relaxed);
-            mupod_obs::counter_add("serve.client_disconnects", 1);
-        },
+        &shared.stats.conn,
         |stream, first| serve_one(stream, first, expected_elems, cfg, shared, reloader),
     );
 }
@@ -510,42 +580,7 @@ fn write_response(
     payload: &[u8],
 ) -> bool {
     let frame = frame::encode_response_traced(status, Some(trace_id), payload);
-    match stream.write_all(&frame).and_then(|()| stream.flush()) {
-        Ok(()) => true,
-        Err(e) => {
-            shared
-                .stats
-                .client_disconnects
-                .fetch_add(1, Ordering::Relaxed);
-            mupod_obs::counter_add("serve.client_disconnects", 1);
-            mupod_obs::event(
-                mupod_obs::Level::Warn,
-                "serve.client_disconnect",
-                &[("during", "response write"), ("error", &e.to_string())],
-            );
-            false
-        }
-    }
-}
-
-/// Answers a frame error with `BadRequest`; the connection then closes
-/// (a malformed binary stream cannot be re-synchronized).
-fn reject_bad_frame(stream: &mut TcpStream, shared: &Shared, err: &FrameError) -> bool {
-    shared.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
-    mupod_obs::counter_add("serve.bad_frames", 1);
-    mupod_obs::event(
-        mupod_obs::Level::Warn,
-        "serve.bad_frame",
-        &[("error", &err.to_string())],
-    );
-    write_response(
-        stream,
-        shared,
-        StatusCode::BadRequest,
-        0,
-        err.to_string().as_bytes(),
-    );
-    false
+    shared.stats.conn.write_frame(stream, &frame)
 }
 
 /// Serves one request whose first header byte has already arrived.
@@ -562,16 +597,22 @@ fn serve_one(
     let mut header = [0u8; HEADER_LEN];
     header[0] = first;
     if !read_remaining(stream, &mut header[1..], frame_deadline) {
-        return reject_bad_frame(stream, shared, &FrameError::Truncated);
+        return shared
+            .stats
+            .conn
+            .reject_bad_frame(stream, &FrameError::Truncated);
     }
     let h = match frame::parse_request_header(&header) {
         Ok(h) => h,
-        Err(e) => return reject_bad_frame(stream, shared, &e),
+        Err(e) => return shared.stats.conn.reject_bad_frame(stream, &e),
     };
     let trace_id = if h.has_trace_id {
         let mut ext = [0u8; TRACE_ID_LEN];
         if !read_remaining(stream, &mut ext, frame_deadline) {
-            return reject_bad_frame(stream, shared, &FrameError::Truncated);
+            return shared
+                .stats
+                .conn
+                .reject_bad_frame(stream, &FrameError::Truncated);
         }
         frame::decode_trace_id(&ext)
     } else {
@@ -579,15 +620,17 @@ fn serve_one(
     };
     let mut payload = vec![0u8; h.payload_len];
     if !read_remaining(stream, &mut payload, frame_deadline) {
-        return reject_bad_frame(stream, shared, &FrameError::Truncated);
+        return shared
+            .stats
+            .conn
+            .reject_bad_frame(stream, &FrameError::Truncated);
     }
     match h.kind {
         ReqKind::Classify => {
             let want = expected_elems * 4;
             if h.payload_len != want {
-                return reject_bad_frame(
+                return shared.stats.conn.reject_bad_frame(
                     stream,
-                    shared,
                     &FrameError::WrongPayloadLen {
                         got: h.payload_len,
                         want,
@@ -597,7 +640,10 @@ fn serve_one(
         }
         ReqKind::ChaosPanic => {
             if !cfg.chaos {
-                return reject_bad_frame(stream, shared, &FrameError::BadKind(2));
+                return shared
+                    .stats
+                    .conn
+                    .reject_bad_frame(stream, &FrameError::BadKind(2));
             }
         }
         // Control ops are answered inline on the handler thread — they
@@ -609,9 +655,8 @@ fn serve_one(
         }
         ReqKind::Reload => {
             if h.payload_len != 8 {
-                return reject_bad_frame(
+                return shared.stats.conn.reject_bad_frame(
                     stream,
-                    shared,
                     &FrameError::WrongPayloadLen {
                         got: h.payload_len,
                         want: 8,
@@ -619,18 +664,17 @@ fn serve_one(
                 );
             }
             let Some(seed) = frame::decode_reload_seed(&payload) else {
-                return reject_bad_frame(stream, shared, &FrameError::Truncated);
+                return shared
+                    .stats
+                    .conn
+                    .reject_bad_frame(stream, &FrameError::Truncated);
             };
             let (status, body) = do_reload(seed, shared, reloader);
             return write_response(stream, shared, status, trace_id, &body);
         }
     }
     if shared.is_draining() {
-        shared
-            .stats
-            .rejected_draining
-            .fetch_add(1, Ordering::Relaxed);
-        mupod_obs::counter_add("serve.rejected_draining", 1);
+        bump(&shared.stats.rejected_draining);
         shared.telemetry.flight.record(
             trace_id,
             FlightStage::Shed,
@@ -664,12 +708,8 @@ fn serve_one(
         );
     }
     if level >= 2 && h.priority == Priority::Low {
-        shared
-            .stats
-            .shed_low_priority
-            .fetch_add(1, Ordering::Relaxed);
-        shared.stats.rejected_busy.fetch_add(1, Ordering::Relaxed);
-        mupod_obs::counter_add("serve.shed_low_priority", 1);
+        bump(&shared.stats.shed_low_priority);
+        bump(&shared.stats.rejected_busy);
         shared.telemetry.flight.record(
             trace_id,
             FlightStage::Shed,
@@ -710,8 +750,7 @@ fn serve_one(
     match shared.queue.try_push(job, h.priority) {
         Ok(()) => {}
         Err((PushError::Full, _)) => {
-            shared.stats.rejected_busy.fetch_add(1, Ordering::Relaxed);
-            mupod_obs::counter_add("serve.rejected_busy", 1);
+            bump(&shared.stats.rejected_busy);
             shared.telemetry.flight.record(
                 trace_id,
                 FlightStage::Shed,
@@ -727,11 +766,7 @@ fn serve_one(
             );
         }
         Err((PushError::Closed, _)) => {
-            shared
-                .stats
-                .rejected_draining
-                .fetch_add(1, Ordering::Relaxed);
-            mupod_obs::counter_add("serve.rejected_draining", 1);
+            bump(&shared.stats.rejected_draining);
             shared.telemetry.flight.record(
                 trace_id,
                 FlightStage::Shed,
@@ -757,11 +792,7 @@ fn serve_one(
     let (status, body): (StatusCode, Vec<u8>) = match outcome {
         Ok((status, body)) => (status, body),
         Err(RecvTimeoutError::Timeout) => {
-            shared
-                .stats
-                .deadline_expired
-                .fetch_add(1, Ordering::Relaxed);
-            mupod_obs::counter_add("serve.deadline_expired", 1);
+            bump(&shared.stats.deadline_expired);
             (
                 StatusCode::DeadlineExceeded,
                 b"no worker answered in time".to_vec(),

@@ -6,13 +6,14 @@
 //! written lock-free on the hot path and merged at scrape time, the
 //! report counters are plain atomics, and the flight recorder holds a
 //! short mutex per event. A scrape therefore never blocks admission
-//! or a worker's batch.
+//! or a worker's batch. The router keeps the same [`Telemetry`].
 //!
 //! `DESIGN.md` §13 describes the plane end to end; the exposition
 //! syntax is checked by [`mupod_obs::expo::validate`] in the tests and
 //! the CI `telemetry-smoke` job.
 
 use std::sync::atomic::Ordering;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use mupod_obs::{Exposition, FlightRecorder, Gauge, RollingHistogram};
@@ -29,12 +30,16 @@ const FLIGHT_CAPACITY: usize = 4096;
 /// Health-document schema tag.
 pub const HEALTH_SCHEMA: &str = "mupod-health v1";
 
-/// Per-server live instruments, owned by `Shared`.
+/// Per-server live instruments, owned by the serving node's and the
+/// router's shared state.
 pub(crate) struct Telemetry {
     /// Server start (uptime base).
     pub(crate) start: Instant,
     /// OK-request latency, microseconds, rolling window.
     pub(crate) latency_us: RollingHistogram,
+    /// Every OK-request latency of the run, microseconds; the drain
+    /// report's percentiles come from it.
+    latencies_us: Mutex<Vec<u64>>,
     /// Queue depth sampled at every admission.
     pub(crate) queue_depth: RollingHistogram,
     /// Live jobs per executed batch (batch occupancy).
@@ -50,11 +55,33 @@ impl Telemetry {
         Telemetry {
             start: Instant::now(),
             latency_us: RollingHistogram::new(WINDOW, WINDOW_SLOTS),
+            latencies_us: Mutex::new(Vec::new()),
             queue_depth: RollingHistogram::new(WINDOW, WINDOW_SLOTS),
             batch_fill: RollingHistogram::new(WINDOW, WINDOW_SLOTS),
             in_flight: Gauge::new(),
             flight: FlightRecorder::new(FLIGHT_CAPACITY),
         }
+    }
+
+    /// Records one OK request's latency since `accepted`, both into the
+    /// rolling window and into the run's exact list.
+    pub(crate) fn record_latency(&self, accepted: Instant) {
+        let us = accepted.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+        self.latency_us.record(us);
+        self.latencies_us
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(us);
+    }
+
+    /// Takes the run's exact latency list (at drain).
+    pub(crate) fn take_latencies(&self) -> Vec<u64> {
+        std::mem::take(
+            &mut *self
+                .latencies_us
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
+        )
     }
 }
 
@@ -62,65 +89,13 @@ impl Telemetry {
 /// gauges, and the rolling-window histograms with p50/p99 summaries.
 pub(crate) fn render_metrics(cfg: &ServeConfig, shared: &Shared) -> String {
     let t = &shared.telemetry;
-    let st = &shared.stats;
     let mut e = Exposition::new();
     e.gauge_f64(
         "mupod_uptime_seconds",
         "Seconds since the server started.",
         t.start.elapsed().as_secs_f64(),
     );
-    for (name, help, counter) in [
-        (
-            "mupod_requests_ok_total",
-            "Requests answered Ok with a class.",
-            &st.requests_ok,
-        ),
-        (
-            "mupod_rejected_busy_total",
-            "Fast-rejected at admission (queue full or shed).",
-            &st.rejected_busy,
-        ),
-        (
-            "mupod_rejected_draining_total",
-            "Answered Draining at admission or dequeue.",
-            &st.rejected_draining,
-        ),
-        (
-            "mupod_shed_low_priority_total",
-            "Low-priority requests shed by ladder level 2.",
-            &st.shed_low_priority,
-        ),
-        (
-            "mupod_deadline_expired_total",
-            "Requests whose deadline expired before or during service.",
-            &st.deadline_expired,
-        ),
-        (
-            "mupod_bad_frames_total",
-            "Malformed frames answered BadRequest.",
-            &st.bad_frames,
-        ),
-        (
-            "mupod_worker_crashes_total",
-            "Worker panics caught and isolated.",
-            &st.worker_crashes,
-        ),
-        (
-            "mupod_client_disconnects_total",
-            "Peers that vanished mid-request or mid-response.",
-            &st.client_disconnects,
-        ),
-        (
-            "mupod_batches_total",
-            "Batched forward passes executed.",
-            &st.batches,
-        ),
-        (
-            "mupod_batched_requests_total",
-            "Requests served through those batches.",
-            &st.batched_requests,
-        ),
-    ] {
+    for (_, name, help, counter) in shared.stats.table() {
         e.counter(name, help, counter.load(Ordering::SeqCst));
     }
     e.counter(

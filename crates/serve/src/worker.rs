@@ -28,7 +28,7 @@ use mupod_tensor::Tensor;
 
 use crate::frame::ReqKind;
 use crate::queue::Pop;
-use crate::server::{respond_job, Job, ServeConfig, ServeError, Shared, POLL};
+use crate::server::{bump, respond_job, Job, ServeConfig, ServeError, Shared, POLL};
 use crate::telemetry;
 
 /// Backoff between a worker crash and its restart: fast first retry,
@@ -113,11 +113,7 @@ fn process_batch(
     // executed once cancellation lands).
     if shared.is_draining() {
         for job in &batch {
-            shared
-                .stats
-                .rejected_draining
-                .fetch_add(1, Ordering::Relaxed);
-            mupod_obs::counter_add("serve.rejected_draining", 1);
+            bump(&shared.stats.rejected_draining);
             respond_job(job, StatusCode::Draining, b"server draining".to_vec());
         }
         return;
@@ -127,11 +123,7 @@ fn process_batch(
     let mut live = Vec::with_capacity(batch.len());
     for job in batch {
         if now >= job.deadline {
-            shared
-                .stats
-                .deadline_expired
-                .fetch_add(1, Ordering::Relaxed);
-            mupod_obs::counter_add("serve.deadline_expired", 1);
+            bump(&shared.stats.deadline_expired);
             respond_job(
                 &job,
                 StatusCode::DeadlineExceeded,
@@ -144,12 +136,11 @@ fn process_batch(
     if live.is_empty() {
         return;
     }
-    shared.stats.batches.fetch_add(1, Ordering::Relaxed);
+    bump(&shared.stats.batches);
     shared
         .stats
         .batched_requests
         .fetch_add(live.len() as u64, Ordering::Relaxed);
-    mupod_obs::counter_add("serve.batches", 1);
     mupod_obs::histogram_record("serve.batch_size", live.len() as f64);
     shared.telemetry.batch_fill.record(live.len() as u64);
     for job in &live {
@@ -185,27 +176,21 @@ fn process_batch(
             // same order the images were gathered.
             for (job, class) in live.iter().zip(classes) {
                 if done >= job.deadline {
-                    shared
-                        .stats
-                        .deadline_expired
-                        .fetch_add(1, Ordering::Relaxed);
-                    mupod_obs::counter_add("serve.deadline_expired", 1);
+                    bump(&shared.stats.deadline_expired);
                     respond_job(
                         job,
                         StatusCode::DeadlineExceeded,
                         b"deadline expired during execution".to_vec(),
                     );
                 } else {
-                    shared.stats.requests_ok.fetch_add(1, Ordering::Relaxed);
-                    mupod_obs::counter_add("serve.requests_ok", 1);
-                    shared.record_latency(job.accepted);
+                    bump(&shared.stats.requests_ok);
+                    shared.telemetry.record_latency(job.accepted);
                     respond_job(job, StatusCode::Ok, (class as u32).to_le_bytes().to_vec());
                 }
             }
         }
         Err(_) => {
-            shared.stats.worker_crashes.fetch_add(1, Ordering::Relaxed);
-            mupod_obs::counter_add("serve.worker_crashes", 1);
+            bump(&shared.stats.worker_crashes);
             for job in &live {
                 shared
                     .telemetry
